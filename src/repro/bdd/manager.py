@@ -13,11 +13,12 @@ layer and operators manipulate absorption provenance::
     assert pv.restrict({"p1": False}).is_false()
 
 **Iterative kernel.**  The hot operations — ``_apply`` (AND/OR/XOR/DIFF),
-``_negate``, ``_restrict`` and ``_support`` — run as explicit-stack loops over
-the node table's flat arrays, with the arrays bound to locals and the
-hash-consing inlined.  There is no Python recursion on these paths, so
-provenance depth is bounded by memory, not by the interpreter's recursion
-limit, and there is no per-step function-call overhead.
+``implies``, ``_negate``, ``_restrict`` and ``_support`` — run as
+explicit-stack loops over the node table's flat arrays, with the arrays
+bound to locals and the hash-consing inlined.  There is no Python recursion
+on these paths, so provenance depth is bounded by memory, not by the
+interpreter's recursion limit, and there is no per-step function-call
+overhead.
 
 **Garbage collection.**  The node table is *compacting*: when the dead
 fraction of the table crosses ``gc_threshold``, a mark-and-sweep pass drops
@@ -49,7 +50,6 @@ from time import perf_counter as _perf_counter
 from typing import Dict, FrozenSet, Hashable, Iterable, Iterator, List, Mapping, Optional, Set, Tuple
 
 from repro.bdd.node import FALSE, TRUE, NodeTable
-from repro.obs.trace import GC_TID, KERNEL_PID, current_tracer
 
 #: Estimated in-memory bytes per BDD node: variable index, low and high
 #: pointers plus hash-table overhead.  Used for the "per-tuple provenance
@@ -107,9 +107,10 @@ class BDDOperationStats:
     """Work counters for one manager: apply/restrict invocations and caches.
 
     ``apply_calls`` counts every step of the Shannon expansion in ``_apply``
-    and ``restrict_calls`` every step of ``_restrict`` — the two numbers the
-    batch-throughput benchmark compares between batched and tuple-at-a-time
-    execution.
+    (and every operand pair ``implies`` visits: work moved from an apply to
+    the read-only walk stays counted) and ``restrict_calls`` every step of
+    ``_restrict`` — the two numbers the batch-throughput benchmark compares
+    between batched and tuple-at-a-time execution.
     """
 
     apply_calls: int = 0
@@ -225,7 +226,7 @@ class BDD:
 
     def implies(self, other: "BDD") -> bool:
         """Return True iff ``self -> other`` is a tautology."""
-        return self.manager.diff(self, other).is_false()
+        return self.manager.implies(self, other)
 
     def equivalent(self, other: "BDD") -> bool:
         """Canonical equality: same manager node id."""
@@ -491,6 +492,67 @@ class BDDManager:
         result = BDD(self, node)
         self._maybe_collect()
         return result
+
+    def implies(self, left: BDD, right: BDD) -> bool:
+        """True iff ``left -> right`` is a tautology (``left OR right == right``).
+
+        The absorption test of Algorithm 3 without the disjunction: a
+        read-only walk over operand pairs on an explicit stack that stops at
+        the first counter-example.  It builds no node and allocates no
+        handle, so it can never trigger a collection.  Every pair visited
+        counts as one step of ``stats.apply_calls`` and the walk's time
+        bills to ``kernel_time_s``, like any apply.
+        """
+        if left.manager is not self or right.manager is not self:
+            raise BDDError("cannot combine BDDs from different managers")
+        t0 = _perf_counter()
+        table = self._table
+        var_arr = table._var
+        low_arr = table._low
+        high_arr = table._high
+        #: Pairs already expanded.  The walk leaves at the first pair that
+        #: fails, so every pair seen twice is one that holds.
+        seen: Set[int] = set()
+        stack = [left.node, right.node]
+        push = stack.append
+        pop = stack.pop
+        calls = 0
+        holds = True
+        while stack:
+            b = pop()
+            a = pop()
+            calls += 1
+            if a == 0 or b == 1 or a == b:
+                continue
+            if b == 0 or a == 1:
+                # ``a`` is satisfiable where ``b`` is false (canonicity: any
+                # non-terminal node is neither constant).
+                holds = False
+                break
+            key = (a << 32) | b
+            if key in seen:
+                continue
+            seen.add(key)
+            avar = var_arr[a]
+            bvar = var_arr[b]
+            if avar < bvar:
+                push(high_arr[a])
+                push(b)
+                push(low_arr[a])
+                push(b)
+            elif bvar < avar:
+                push(a)
+                push(high_arr[b])
+                push(a)
+                push(low_arr[b])
+            else:
+                push(high_arr[a])
+                push(high_arr[b])
+                push(low_arr[a])
+                push(low_arr[b])
+        self.stats.apply_calls += calls
+        self._kernel_seconds += _perf_counter() - t0
+        return holds
 
     def negate(self, operand: BDD) -> BDD:
         """Logical negation."""
@@ -1073,15 +1135,19 @@ class BDDManager:
         caches are remapped through the renumbering; otherwise the pass only
         backs off the trigger size.  Returns a summary of the pass.
         """
+        # The kernel is the lowest layer and imports nothing above it at
+        # module load (``repro.obs`` imports the provenance layer, which
+        # imports this module).  GC runs are rare and already pay a full
+        # table scan, so resolving the global tracer here (instead of
+        # plumbing one through every manager owner) costs nothing measurable.
+        from repro.obs.trace import GC_TID, KERNEL_PID, current_tracer
+
         tracer = current_tracer()
         span = None
         if tracer.enabled:
-            # GC runs are rare and already pay a full table scan, so looking
-            # up the global tracer here (instead of plumbing one through every
-            # manager owner) costs nothing measurable.  The node-context pid
-            # attributes passes triggered inside a delivery to that node's
-            # track; passes outside any handler land on the shared
-            # ``bdd-kernel`` track.
+            # The node-context pid attributes passes triggered inside a
+            # delivery to that node's track; passes outside any handler land
+            # on the shared ``bdd-kernel`` track.
             span = tracer.begin(
                 tracer.context_pid(KERNEL_PID),
                 "gc-pass",

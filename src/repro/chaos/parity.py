@@ -46,6 +46,14 @@ from repro.fault.recovery import RecoveryPolicy
 from repro.queries.builder import build_executor
 from repro.workloads.chaos import ChaosWorkload
 
+#: Wall-clock budget of one workload phase on every executor this harness
+#: builds.  The gate's phases run in seconds; a phase still going after this
+#: long has lost a reply or stopped converging, and must end in
+#: ``SimulationBudgetExceeded`` (plus a flight dump) rather than wedge the
+#: caller — the process coordinator only arms its wait deadline when the
+#: executor has a budget.
+PHASE_WALL_SECONDS = 300.0
+
 #: How often a scheduled remove-node re-checks for its (possibly deferred)
 #: add-node before giving up.  Bounded like every other chaos retry.
 _REMOVE_RETRIES = 50
@@ -148,7 +156,8 @@ def run_reference(
     """
     executor = build_executor(
         query_plan, strategy, node_count=node_count,
-        max_events=max_events, experiment="chaos-reference",
+        max_events=max_events, max_wall_seconds=PHASE_WALL_SECONDS,
+        experiment="chaos-reference",
     )
     phases = apply_workload(executor, workload)
     return (
@@ -269,6 +278,7 @@ def verify_sim_parity(
         recovery_policy=RecoveryPolicy.CHECKPOINT_REPLAY,
         node_count=node_count,
         max_events=max_events,
+        max_wall_seconds=PHASE_WALL_SECONDS,
     )
     schedule_chaos(executor, chaos_plan, horizon)
     apply_workload(executor, workload)
@@ -311,6 +321,7 @@ def verify_process_parity(
         strategy,
         node_count=node_count,
         max_events=max_events,
+        max_wall_seconds=PHASE_WALL_SECONDS,
         experiment="chaos-process",
         backend="process",
         workers=workers,

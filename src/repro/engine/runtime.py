@@ -177,13 +177,8 @@ class ProcessorNode:
         yield from self.fixpoint.provenance.values()
         if self.fixpoint.aggregate_selection is not None:
             yield from self.fixpoint.aggregate_selection.provenance.values()
-        ship = self.ship
-        if isinstance(ship, MinShipOperator):
-            yield from ship.sent.values()
-            yield from ship.pending_insertions.values()
-            yield from ship.pending_deletions.values()
-            if ship.aggregate_selection is not None:
-                yield from ship.aggregate_selection.provenance.values()
+        if isinstance(self.ship, MinShipOperator):
+            yield from self.ship.annotation_roots()
 
     # -- network entry point -------------------------------------------------------
     def handle(self, port: str, updates: Sequence[Update], now: float) -> None:

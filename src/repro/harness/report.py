@@ -82,25 +82,26 @@ def format_kernel_stats(stats: Dict[str, object], label: str = "") -> str:
 
     Accepts either a :meth:`repro.bdd.manager.BDDManager.gc_stats` mapping or
     the flattened ``kernel_*`` columns of a phase row; used by
-    ``scripts/perf_check.py`` and ad-hoc diagnostics.
+    ``scripts/perf_check.py`` and ad-hoc diagnostics.  A part whose key is
+    absent is left out: a ``gc_stats()`` mapping has no phase clock, and
+    ``routing=0.0000s`` for it would report a measurement nobody took.
     """
-
-    def pick(*names: str, default: object = 0) -> object:
-        for name in names:
-            if name in stats:
-                return stats[name]
-        return default
-
-    parts = [
-        f"table={pick('table_size', 'kernel_table_size')}",
-        f"peak={pick('peak_table_size', 'kernel_peak_table')}",
-        f"reclaimed={pick('nodes_reclaimed', 'kernel_reclaimed')}",
-        f"gc_passes={pick('gc_passes', 'kernel_gc_passes')}",
-        f"gc_pause={float(pick('gc_pause_s', 'kernel_gc_pause_s')):.4f}s",
-        f"kernel={float(pick('kernel_time_s')):.4f}s",
-        f"routing={float(pick('routing_time_s')):.4f}s",
-        f"operator={float(pick('operator_time_s')):.4f}s",
-        f"net={float(pick('net_time_s')):.4f}s",
-    ]
+    # (label, accepted key names, format)
+    layout = (
+        ("table", ("table_size", "kernel_table_size"), "{}"),
+        ("peak", ("peak_table_size", "kernel_peak_table"), "{}"),
+        ("reclaimed", ("nodes_reclaimed", "kernel_reclaimed"), "{}"),
+        ("gc_passes", ("gc_passes", "kernel_gc_passes"), "{}"),
+        ("gc_pause", ("gc_pause_s", "kernel_gc_pause_s"), "{:.4f}s"),
+        ("kernel", ("kernel_time_s",), "{:.4f}s"),
+        ("routing", ("routing_time_s",), "{:.4f}s"),
+        ("operator", ("operator_time_s",), "{:.4f}s"),
+        ("net", ("net_time_s",), "{:.4f}s"),
+    )
+    parts = []
+    for name, keys, fmt in layout:
+        key = next((key for key in keys if key in stats), None)
+        if key is not None:
+            parts.append(f"{name}=" + fmt.format(stats[key]))
     prefix = f"{label}: " if label else ""
     return prefix + " ".join(parts)

@@ -20,15 +20,7 @@ to their fault-free references.
 
 from __future__ import annotations
 
-from typing import Any, List, Sequence
-
-try:  # Protocol is stdlib from 3.8; fall back to a plain base for safety.
-    from typing import Protocol, runtime_checkable
-except ImportError:  # pragma: no cover - ancient pythons only
-    Protocol = object  # type: ignore[assignment]
-
-    def runtime_checkable(cls):  # type: ignore[misc]
-        return cls
+from typing import Any, List, Protocol, Sequence, runtime_checkable
 
 
 @runtime_checkable

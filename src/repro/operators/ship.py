@@ -25,7 +25,8 @@ recording message sizes.
 from __future__ import annotations
 
 import enum
-from typing import Dict, Hashable, Iterable, List, Optional, Sequence
+from types import MappingProxyType
+from typing import Dict, Hashable, Iterable, Iterator, List, Mapping, Optional, Sequence
 
 from repro.data.batch import group_by_tuple, split_runs
 from repro.data.tuples import Tuple
@@ -67,7 +68,15 @@ class ShipOperator(Operator):
 
 
 class MinShipOperator(Operator):
-    """Provenance-buffering ship operator (Algorithm 3)."""
+    """Provenance-buffering ship operator (Algorithm 3).
+
+    ``Pins`` is a deferred accumulator: buffering a derivation appends it to
+    the tuple's part list, and the parts are merged with one balanced
+    ``disjoin_many`` the first time something reads ``Pins[t]`` (a flush, a
+    purge, a state probe, a snapshot, a migration).  Between reads nothing
+    needs the merged value, so a tuple costs one merge per release instead
+    of one ladder step per derivation.
+    """
 
     def __init__(
         self,
@@ -85,16 +94,65 @@ class MinShipOperator(Operator):
         self.aggregate_selection = aggregate_selection
         #: ``Bsent``: tuple -> provenance already shipped to the consumer.
         self.sent: Dict[Tuple, object] = {}
-        #: ``Pins``: tuple -> buffered (absorbed) provenance not yet shipped.
-        self.pending_insertions: Dict[Tuple, object] = {}
+        #: ``Pins``: tuple -> non-empty list of buffered derivations not yet
+        #: shipped, whose disjunction is ``Pins[t]``.  Read through
+        #: :meth:`_pins_of` / :meth:`_merged_pins`, which merge.
+        self._pins: Dict[Tuple, List[object]] = {}
         #: ``Pdel``: tuple -> buffered deletion provenance.
         self.pending_deletions: Dict[Tuple, object] = {}
-        #: Memo: tuple -> ``Bsent[t] OR Pins[t]``, maintained on the insert
-        #: path (where the absorption check computes exactly that value) so a
-        #: flush can update ``Bsent`` without re-running the disjunction.
-        #: Entries are dropped whenever either table changes any other way;
-        #: a missing entry just means the flush recomputes.
-        self._pending_merged: Dict[Tuple, object] = {}
+
+    # -- the Pins accumulator -----------------------------------------------------
+    def _pins_of(self, tuple_: Tuple) -> object:
+        """``Pins[t]`` for a buffered tuple, merging its pending parts first."""
+        parts = self._pins[tuple_]
+        if len(parts) > 1:
+            parts[:] = [self.store.disjoin_many(parts)]
+        return parts[0]
+
+    def _merged_pins(self) -> Dict[Tuple, object]:
+        """A fresh ``tuple -> Pins[t]`` dict, every pending tail merged."""
+        return {tuple_: self._pins_of(tuple_) for tuple_ in self._pins}
+
+    @property
+    def pending_insertions(self) -> Mapping[Tuple, object]:
+        """Read-only snapshot of ``Pins`` (merges pending tails; for inspection)."""
+        return MappingProxyType(self._merged_pins())
+
+    def _restrict_pins(self, restrict) -> None:
+        """Apply ``restrict`` to every ``Pins[t]``, dropping entries it zeroes."""
+        is_zero = self.store.is_zero
+        for tuple_ in list(self._pins):
+            remaining = restrict(self._pins_of(tuple_))
+            if is_zero(remaining):
+                del self._pins[tuple_]
+            else:
+                self._pins[tuple_] = [remaining]
+
+    def _release(self, tuple_: Tuple, outputs: List[Update]) -> bool:
+        """Ship ``Pins[t]`` (if any) and fold it into ``Bsent[t]``."""
+        if tuple_ not in self._pins:
+            return False
+        buffered = self._pins_of(tuple_)
+        del self._pins[tuple_]
+        outputs.append(Update(UpdateType.INS, tuple_, provenance=buffered))
+        shipped = self.sent.get(tuple_)
+        self.sent[tuple_] = (
+            buffered if shipped is None else self.store.disjoin(shipped, buffered)
+        )
+        return True
+
+    def annotation_roots(self) -> Iterator[object]:
+        """Every annotation this operator holds, unmerged parts included.
+
+        The GC root protocol calls this mid-collection, so it must not run
+        kernel work: the pending parts are yielded as they are.
+        """
+        yield from self.sent.values()
+        for parts in self._pins.values():
+            yield from parts
+        yield from self.pending_deletions.values()
+        if self.aggregate_selection is not None:
+            yield from self.aggregate_selection.provenance.values()
 
     # -- stream processing --------------------------------------------------------
     def process(self, update: Update) -> List[Update]:
@@ -109,15 +167,16 @@ class MinShipOperator(Operator):
         return self._record(update, outputs)
 
     def process_batch(self, updates: Sequence[Update]) -> List[Update]:
-        """Batch-wise Algorithm 3: merge same-tuple derivations before buffering.
+        """Batch-wise Algorithm 3: same-tuple derivations are tested as one group.
 
-        An insertion group for a tuple already in ``Bsent`` costs one disjoin
-        chain plus one absorption check instead of two applies per update; a
-        group for a brand-new tuple ships its first derivation immediately
-        (the receiver must learn the tuple exists) and buffers the merged
-        tail.  Deletions keep their sequential semantics.  The batch-size
-        flush trigger fires at the same points as tuple-at-a-time processing
-        because the buffered-key count only changes once per tuple group.
+        An insertion group for a tuple already in ``Bsent`` is suppressed
+        when the consumer already knows all of it and buffered whole
+        otherwise; a group for a brand-new tuple ships its first derivation
+        immediately (the receiver must learn the tuple exists) and treats the
+        rest the same way.  Deletions keep their sequential semantics.  The
+        batch-size flush trigger fires at the same points as tuple-at-a-time
+        processing because the buffered-key count only changes once per tuple
+        group.
         """
         pending: Sequence[Update] = updates
         if self.aggregate_selection is not None:
@@ -134,9 +193,10 @@ class MinShipOperator(Operator):
                     outputs.extend(self.flush())
         return self._record_batch(updates, outputs)
 
-    def _insert_group(self, tuple_: Tuple, items: List[Update]) -> List[Update]:
+    def _insert_group(self, tuple_: Tuple, items: Sequence[Update]) -> List[Update]:
+        store = self.store
         annotations = [
-            item.provenance if item.provenance is not None else self.store.one()
+            item.provenance if item.provenance is not None else store.one()
             for item in items
         ]
         outputs: List[Update] = []
@@ -149,126 +209,51 @@ class MinShipOperator(Operator):
             outputs.append(items[0].with_provenance(first))
             if not annotations:
                 return outputs
-        group_or = self.store.disjoin_many(annotations)
-        merged = self.store.disjoin(previously_sent, group_or)
-        if self.store.equals(merged, previously_sent):
-            # Fully absorbed by what the consumer already knows: suppress.
-            return outputs
-        self._buffer_insertion(tuple_, group_or, merged)
+        # Test without building anything, and stop at the first derivation
+        # the consumer does not already know.
+        if not all(store.absorbs(previously_sent, a) for a in annotations):
+            self._pins.setdefault(tuple_, []).extend(annotations)
         return outputs
 
-    def _buffer_insertion(self, tuple_: Tuple, annotation: object, merged: object) -> None:
-        """Fold ``annotation`` into ``Pins[t]``, keeping the flush memo exact.
-
-        ``merged`` is ``Bsent[t] OR annotation`` (the absorption check just
-        computed it); the memo invariant ``_pending_merged[t] ==
-        Bsent[t] OR Pins[t]`` is maintained so the eventual flush pays no
-        further kernel work in the common case.
-        """
-        store = self.store
-        buffered = self.pending_insertions.get(tuple_)
-        if buffered is None:
-            self.pending_insertions[tuple_] = annotation
-            self._pending_merged[tuple_] = merged
-            return
-        self.pending_insertions[tuple_] = store.disjoin(buffered, annotation)
-        memo = self._pending_merged.get(tuple_)
-        if memo is not None:
-            self._pending_merged[tuple_] = store.disjoin(memo, annotation)
-        else:
-            # The memo was invalidated (deletion/purge/import touched the
-            # tables); re-establish it from the parts.
-            self._pending_merged[tuple_] = store.disjoin(merged, buffered)
-
     def _process_one(self, update: Update) -> List[Update]:
-        annotation = update.provenance if update.provenance is not None else self.store.one()
-        previously_sent = self.sent.get(update.tuple)
-        if previously_sent is None:
-            # First time we see this tuple at all: ship right away (base case).
-            if update.is_insert:
-                self.sent[update.tuple] = annotation
-                return [update.with_provenance(annotation)]
+        if update.is_insert:
+            return self._insert_group(update.tuple, (update,))
+        if update.tuple not in self.sent:
             # A deletion for a tuple we never shipped: nothing to suppress.
             return [update]
-        if update.is_insert:
-            merged = self.store.disjoin(previously_sent, annotation)
-            if self.store.equals(merged, previously_sent):
-                # Fully absorbed by what the consumer already knows: suppress.
-                return []
-            self._buffer_insertion(update.tuple, annotation, merged)
-            return []  # will go out with the next batch flush
         # Deletion of a tuple we have shipped before.
         if self.store.supports_deletion and update.provenance is not None:
             return self._buffer_deletion(update)
         # Set semantics: just forward the deletion.
-        self.sent.pop(update.tuple, None)
-        self.pending_insertions.pop(update.tuple, None)
-        self._pending_merged.pop(update.tuple, None)
+        del self.sent[update.tuple]
+        self._pins.pop(update.tuple, None)
         return [update]
 
     def _buffer_deletion(self, update: Update) -> List[Update]:
+        store = self.store
         annotation = update.provenance
-        # Pins is about to change under the buffered tuples: the flush memo
-        # no longer matches Bsent OR Pins, so drop it wholesale.
-        self._pending_merged.clear()
         # Remove the deleted derivations from anything still buffered (Alg 3 lines 20-25).
-        not_deleted = self.store.difference(self.store.one(), annotation)
-        stale: List[Tuple] = []
-        for tuple_, buffered in self.pending_insertions.items():
-            remaining = self.store.conjoin(buffered, not_deleted)
-            if self.store.is_zero(remaining):
-                stale.append(tuple_)
-            else:
-                self.pending_insertions[tuple_] = remaining
-        for tuple_ in stale:
-            del self.pending_insertions[tuple_]
-        existing = self.pending_deletions.get(update.tuple, self.store.zero())
-        self.pending_deletions[update.tuple] = self.store.disjoin(existing, annotation)
-        if self.mode is ShipMode.EAGER:
-            return []
+        not_deleted = store.difference(store.one(), annotation)
+        self._restrict_pins(lambda buffered: store.conjoin(buffered, not_deleted))
+        existing = self.pending_deletions.get(update.tuple, store.zero())
+        self.pending_deletions[update.tuple] = store.disjoin(existing, annotation)
         return []
 
     # -- flush / batched shipping -----------------------------------------------------
     def _buffered_count(self) -> int:
-        return len(self.pending_insertions) + len(self.pending_deletions)
+        return len(self._pins) + len(self.pending_deletions)
 
     def flush(self) -> List[Update]:
         """Ship buffered state according to the mode (BatchShipEager / BatchShipLazy)."""
+        outputs: List[Update] = []
         if self.mode is ShipMode.EAGER:
-            return self._flush_eager()
-        return self._flush_lazy()
-
-    def _flush_eager(self) -> List[Update]:
-        outputs: List[Update] = []
-        merged_pop = self._pending_merged.pop
-        for tuple_, annotation in list(self.pending_insertions.items()):
-            outputs.append(Update(UpdateType.INS, tuple_, provenance=annotation))
-            merged = merged_pop(tuple_, None)
-            if merged is None:
-                merged = self.store.disjoin(
-                    self.sent.get(tuple_, self.store.zero()), annotation
-                )
-            self.sent[tuple_] = merged
-        self.pending_insertions.clear()
-        self._pending_merged.clear()
-        for tuple_, annotation in list(self.pending_deletions.items()):
+            for tuple_ in list(self._pins):
+                self._release(tuple_, outputs)
+        for tuple_, annotation in self.pending_deletions.items():
             outputs.append(Update(UpdateType.DEL, tuple_, provenance=annotation))
-        self.pending_deletions.clear()
-        return outputs
-
-    def _flush_lazy(self) -> List[Update]:
-        outputs: List[Update] = []
-        for tuple_, annotation in list(self.pending_deletions.items()):
-            outputs.append(Update(UpdateType.DEL, tuple_, provenance=annotation))
-            buffered = self.pending_insertions.pop(tuple_, None)
-            merged = self._pending_merged.pop(tuple_, None)
-            if buffered is not None and not self.store.is_zero(buffered):
-                outputs.append(Update(UpdateType.INS, tuple_, provenance=buffered))
-                if merged is None:
-                    merged = self.store.disjoin(
-                        self.sent.get(tuple_, self.store.zero()), buffered
-                    )
-                self.sent[tuple_] = merged
+            # Lazy: a deleted tuple's buffered alternates follow its deletion
+            # (Eager has nothing left buffered here).
+            self._release(tuple_, outputs)
         self.pending_deletions.clear()
         return outputs
 
@@ -287,29 +272,15 @@ class MinShipOperator(Operator):
         removed = list(base_keys)
         restrict = self.store.base_restrictor(removed)
         outputs: List[Update] = []
-        # Both tables are about to be restricted: the flush memo is stale.
-        self._pending_merged.clear()
         # Restrict buffered insertions first.
-        stale: List[Tuple] = []
-        for tuple_, buffered in self.pending_insertions.items():
-            restricted = restrict(buffered)
-            if self.store.is_zero(restricted):
-                stale.append(tuple_)
-            else:
-                self.pending_insertions[tuple_] = restricted
-        for tuple_ in stale:
-            del self.pending_insertions[tuple_]
+        self._restrict_pins(restrict)
         # For every affected shipped tuple, release surviving buffered derivations.
         for tuple_, shipped in list(self.sent.items()):
             restricted = restrict(shipped)
             if self.store.equals(restricted, shipped):
                 continue
             self.sent[tuple_] = restricted
-            buffered = self.pending_insertions.pop(tuple_, None)
-            if buffered is not None and not self.store.is_zero(buffered):
-                outputs.append(Update(UpdateType.INS, tuple_, provenance=buffered))
-                self.sent[tuple_] = self.store.disjoin(self.sent[tuple_], buffered)
-            if self.store.is_zero(self.sent[tuple_]) and buffered is None:
+            if not self._release(tuple_, outputs) and self.store.is_zero(restricted):
                 del self.sent[tuple_]
         if self.aggregate_selection is not None:
             outputs.extend(self.aggregate_selection.purge_base(removed))
@@ -332,11 +303,10 @@ class MinShipOperator(Operator):
         traffic (an exact per-join-key split of ``Bsent`` is impossible — an
         output tuple does not identify the join key that produced it).
         """
-        sent, pins, pdel = self.sent, self.pending_insertions, self.pending_deletions
+        sent, pins, pdel = self.sent, self._merged_pins(), self.pending_deletions
         self.sent = {}
-        self.pending_insertions = {}
+        self._pins = {}
         self.pending_deletions = {}
-        self._pending_merged = {}
         return sent, pins, pdel
 
     def absorb_tables(
@@ -346,18 +316,15 @@ class MinShipOperator(Operator):
         pending_deletions: Dict[Tuple, object],
     ) -> None:
         """Disjoin-merge migrated ``Bsent``/``Pins``/``Pdel`` entries into this ship."""
-        self._pending_merged.clear()
-        for table, entries in (
-            (self.sent, sent),
-            (self.pending_insertions, pending_insertions),
-            (self.pending_deletions, pending_deletions),
-        ):
+        for table, entries in ((self.sent, sent), (self.pending_deletions, pending_deletions)):
             for tuple_, annotation in entries.items():
                 existing = table.get(tuple_)
                 if existing is None:
                     table[tuple_] = annotation
                 else:
                     table[tuple_] = self.store.disjoin(existing, annotation)
+        for tuple_, annotation in pending_insertions.items():
+            self._pins.setdefault(tuple_, []).append(annotation)
 
     # -- durability (checkpoint / recovery support) ------------------------------------------
     def export_state(self, encode) -> Dict[str, object]:
@@ -370,9 +337,7 @@ class MinShipOperator(Operator):
         """
         state: Dict[str, object] = {
             "sent": {t: encode(pv) for t, pv in self.sent.items()},
-            "pending_insertions": {
-                t: encode(pv) for t, pv in self.pending_insertions.items()
-            },
+            "pending_insertions": {t: encode(self._pins_of(t)) for t in self._pins},
             "pending_deletions": {
                 t: encode(pv) for t, pv in self.pending_deletions.items()
             },
@@ -383,11 +348,8 @@ class MinShipOperator(Operator):
 
     def import_state(self, state: Dict[str, object], decode) -> None:
         """Restore the buffer tables captured by :meth:`export_state`."""
-        self._pending_merged = {}
         self.sent = {t: decode(pv) for t, pv in state["sent"].items()}
-        self.pending_insertions = {
-            t: decode(pv) for t, pv in state["pending_insertions"].items()
-        }
+        self._pins = {t: [decode(pv)] for t, pv in state["pending_insertions"].items()}
         self.pending_deletions = {
             t: decode(pv) for t, pv in state["pending_deletions"].items()
         }
@@ -398,7 +360,7 @@ class MinShipOperator(Operator):
     def state_bytes(self) -> int:
         """Sent, buffered-insert and buffered-delete provenance tables."""
         total = 0
-        for table in (self.sent, self.pending_insertions, self.pending_deletions):
+        for table in (self.sent, self._merged_pins(), self.pending_deletions):
             total += sum(t.size_bytes() for t in table)
             total += annotation_state_bytes(self.store, table.values())
         if self.aggregate_selection is not None:

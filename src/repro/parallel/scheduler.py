@@ -359,6 +359,8 @@ class ProcessCoordinator(SimulatedNetwork):
             if result is not None:
                 break
             item = self._next_result_item()
+            if item is None:
+                continue
             kind = item[0]
             if kind == "result":
                 if item[1] == delivery_id:
@@ -417,7 +419,13 @@ class ProcessCoordinator(SimulatedNetwork):
         return self._recv_backlog.popleft()
 
     def _next_result_item(self):
-        """One blocking read of the result pipes, with liveness checks."""
+        """One blocking read of the result pipes, with liveness checks.
+
+        Returns ``None`` after recovering a dead worker: the recovery drains
+        the pipes into ``self._results``, so the result the caller waits for
+        may be parked there already with no fresh item ever to follow —
+        the caller must look again instead of polling on.
+        """
         polls = 0
         while True:
             try:
@@ -453,9 +461,13 @@ class ProcessCoordinator(SimulatedNetwork):
                         f"exceeded the wall-clock budget of {self.max_wall_seconds} "
                         "seconds while waiting on workers"
                     )
-                for wid, process in enumerate(self._processes):
-                    if not process.is_alive():
-                        self._recover_worker(wid)
+                dead = [
+                    wid for wid, process in enumerate(self._processes) if not process.is_alive()
+                ]
+                for wid in dead:
+                    self._recover_worker(wid)
+                if dead:
+                    return None
 
     def _push_encoded(self, src, dst, port, updates, size_bytes, sent_at) -> None:
         """Replay one worker-recorded send — the body of ``SimulatedNetwork.send``.

@@ -143,6 +143,10 @@ class AbsorptionProvenanceStore(ProvenanceStore):
     def equals(self, left: BDD, right: BDD) -> bool:
         return left == right
 
+    def absorbs(self, existing: BDD, annotation: BDD) -> bool:
+        """``annotation -> existing``, decided without building the disjunction."""
+        return self.manager.implies(annotation, existing)
+
     def difference(self, new: BDD, old: BDD) -> BDD:
         """``deltaPv`` of Algorithm 1: the newly gained derivations, ``new AND NOT old``.
 

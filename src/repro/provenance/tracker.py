@@ -104,6 +104,15 @@ class ProvenanceStore(abc.ABC):
         """Whether two annotations are equal (used to detect "provenance changed")."""
         return left == right
 
+    def absorbs(self, existing: Annotation, annotation: Annotation) -> bool:
+        """Whether ``annotation`` adds nothing to ``existing`` (MinShip's test).
+
+        The default builds the disjunction and compares; the absorption
+        store overrides it with the kernel's early-exit implication walk,
+        which builds nothing.
+        """
+        return self.equals(self.disjoin(existing, annotation), existing)
+
     def difference(self, new: Annotation, old: Annotation) -> Annotation:
         """The part of ``new`` not implied by ``old`` (the ``deltaPv`` of Algorithm 1).
 

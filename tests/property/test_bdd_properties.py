@@ -89,6 +89,28 @@ def test_canonicity_equivalence_iff_same_node(left_tree, right_tree):
     assert (left.node == right.node) == semantically_equal
 
 
+@settings(max_examples=200, deadline=None)
+@given(_expressions(), _expressions())
+def test_implies_is_the_disjunction_test_and_builds_nothing(left_tree, right_tree):
+    # A collector that fires at every opportunity: the ORs below do trigger
+    # passes, so "implies triggered none" is a statement about implies.
+    manager = BDDManager(gc_min_table=2)
+    manager.variables(*VARIABLES)
+    left = _to_bdd(left_tree, manager)
+    right = _to_bdd(right_tree, manager)
+    gained = manager.diff(left, right)  # non-monotone even for monotone inputs
+    operands = [left, right, gained, left | right, manager.true, manager.false]
+    for f, g in itertools.product(operands, repeat=2):
+        expected = (f | g) == g
+        steps = manager.stats.apply_calls
+        before = (manager.table_size, len(manager._handles), manager.gc.passes)
+        assert manager.implies(f, g) is expected
+        assert f.implies(g) is expected
+        assert (manager.table_size, len(manager._handles), manager.gc.passes) == before
+        # Two walks, at least one step each, billed as kernel expansion steps.
+        assert manager.stats.apply_calls >= steps + 2
+
+
 @settings(max_examples=120, deadline=None)
 @given(_expressions(), st.sampled_from(VARIABLES), st.booleans())
 def test_restrict_matches_semantics(tree, variable, value):

@@ -81,6 +81,19 @@ class TestDeepChains:
         only_evens[evens[-1]] = False
         assert not both.evaluate(only_evens)
 
+    def test_deep_implies_walks_the_whole_chain(self, mgr):
+        names = [f"x{i}" for i in range(DEPTH)]
+        for name in names:
+            mgr.variable(name)
+        everything = _conjunction_chain(mgr, names)
+        # Every other variable, the last one included: the walk can only
+        # finish (or find its counter-example) at the bottom of the chain.
+        sparse = _conjunction_chain(mgr, names[1::2])
+        steps_before = mgr.stats.apply_calls
+        assert mgr.implies(everything, sparse)
+        assert mgr.stats.apply_calls - steps_before >= DEPTH
+        assert not mgr.implies(sparse, everything)
+
     def test_deep_without_and_support(self, mgr):
         names = [f"x{i}" for i in range(DEPTH)]
         chain = _conjunction_chain(mgr, names)

@@ -4,7 +4,14 @@ import pytest
 
 from repro.harness.cli import EXPERIMENTS, main
 from repro.harness.config import DEFAULT_CONFIG, PAPER_SCALE_CONFIG, QUICK_CONFIG
-from repro.harness.report import format_rows, print_figure, rows_to_csv
+from repro.bdd import BDDManager
+from repro.engine.metrics import KernelPhaseStats
+from repro.harness.report import (
+    format_kernel_stats,
+    format_rows,
+    print_figure,
+    rows_to_csv,
+)
 
 
 class TestConfig:
@@ -34,6 +41,27 @@ class TestReport:
         print_figure([{"a": 1}], title="demo title")
         captured = capsys.readouterr().out
         assert "demo title" in captured
+
+
+    def test_kernel_stats_from_a_manager_omit_the_phase_clock(self):
+        # gc_stats() has no routing/operator/net keys: zeros there would be
+        # measurements nobody took.
+        line = format_kernel_stats(BDDManager().gc_stats(), label="bdd-kernel")
+        assert line.startswith("bdd-kernel: table=2 peak=2 reclaimed=0 gc_passes=0 gc_pause=0.0000s")
+        assert line.endswith("kernel=0.0000s")
+        for absent in ("routing=", "operator=", "net="):
+            assert absent not in line
+
+    def test_kernel_stats_from_a_phase_row_render_every_bucket(self):
+        row = KernelPhaseStats(
+            table_size=10, peak_table_size=12, nodes_reclaimed=3, gc_passes=1,
+            gc_pause_s=0.5, kernel_time_s=1.25, routing_time_s=0.125,
+            operator_time_s=0.75, net_time_s=0.0625,
+        ).as_row()
+        assert format_kernel_stats(row) == (
+            "table=10 peak=12 reclaimed=3 gc_passes=1 gc_pause=0.5000s "
+            "kernel=1.2500s routing=0.1250s operator=0.7500s net=0.0625s"
+        )
 
 
 class TestCli:

@@ -9,6 +9,8 @@ spawning workers.  The end-to-end equivalence lives in
 """
 
 import pickle
+import time
+from collections import OrderedDict, deque
 
 import pytest
 
@@ -17,6 +19,7 @@ from repro.net.simulator import SimulatedNetwork, SimulationError
 from repro.net.transport import Transport
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import CONTROL_PID, KERNEL_PID, Tracer
+from repro.parallel.scheduler import ProcessCoordinator
 from repro.provenance import canonical_annotation
 from repro.provenance.absorption import AbsorptionProvenanceStore
 from repro.queries import build_executor, reachability_plan
@@ -185,6 +188,43 @@ def test_canonical_annotation_passthrough():
 def test_simulated_network_satisfies_transport_protocol():
     network = SimulatedNetwork(node_count=2)
     assert isinstance(network, Transport)
+
+
+# -- coordinator: worker death while another worker's result is in the pipe ----------
+
+
+class _FakeProcess:
+    def __init__(self, alive: bool) -> None:
+        self.alive = alive
+
+    def is_alive(self) -> bool:
+        return self.alive
+
+
+def test_result_parked_by_a_recovery_drain_is_applied_not_waited_for():
+    """Worker 0 dies idle while worker 1's reply to the only in-flight
+    delivery sits unread in its pipe.  The recovery drain parks that reply in
+    ``_results`` and nothing else will ever arrive, so the wait must look at
+    the parked results again — it used to poll two idle workers forever."""
+    coordinator = ProcessCoordinator.__new__(ProcessCoordinator)
+    SimulatedNetwork.__init__(coordinator, node_count=2, max_wall_seconds=5.0)
+    coordinator._wall_deadline = time.monotonic() + 5.0
+    coordinator._result_readers = []  # every poll comes back empty at once
+    coordinator._recv_backlog = deque()
+    coordinator._results = {}
+    coordinator._pending_kills = []
+    coordinator._inflight = OrderedDict({7: (1, ("deliver", 7), 1.0)})
+    coordinator._min_inflight = 1.0
+    coordinator._processes = [_FakeProcess(alive=False), _FakeProcess(alive=True)]
+
+    def recover(wid):
+        coordinator._processes[wid].alive = True
+        coordinator._results[7] = ("result", 7, 1, [], 0.25, 0, 0)
+
+    coordinator._recover_worker = recover
+    coordinator._apply_oldest()
+    assert not coordinator._inflight
+    assert coordinator.handler_seconds == 0.25
 
 
 # -- backend guards -----------------------------------------------------------------

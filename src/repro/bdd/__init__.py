@@ -13,18 +13,12 @@ The public surface mirrors what the paper uses from JavaBDD:
 * :mod:`repro.bdd.expr` — a symbolic sum-of-products representation used as a
   comparison point (ablation) and for human-readable provenance dumps.
 * :mod:`repro.bdd.serialize` — a compact manager-independent encoding used by
-  the fault-tolerance subsystem to checkpoint provenance annotations.
+  checkpoints and by the process backend's cross-worker messages.
 """
 
 from repro.bdd.manager import BDD, BDDManager
 from repro.bdd.expr import BoolExpr, Conjunction, Disjunction, Literal, FALSE_EXPR, TRUE_EXPR
-from repro.bdd.serialize import (
-    SerializedBDD,
-    bdd_from_bytes,
-    bdd_to_bytes,
-    deserialize_bdd,
-    serialize_bdd,
-)
+from repro.bdd.serialize import SerializedBDD, deserialize_bdd, serialize_bdd
 
 __all__ = [
     "BDD",
@@ -38,6 +32,4 @@ __all__ = [
     "SerializedBDD",
     "serialize_bdd",
     "deserialize_bdd",
-    "bdd_to_bytes",
-    "bdd_from_bytes",
 ]

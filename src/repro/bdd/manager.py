@@ -660,11 +660,15 @@ class BDDManager:
     def ite(self, cond: BDD, then: BDD, otherwise: BDD) -> BDD:
         """If-then-else composition: ``(cond AND then) OR (NOT cond AND otherwise)``."""
         self._check(cond, then, otherwise)
-        positive = self._apply(_OP_AND, cond.node, then.node)
-        negative = self._apply(_OP_AND, self._negate(cond.node), otherwise.node)
-        result = BDD(self, self._apply(_OP_OR, positive, negative))
+        result = BDD(self, self._ite(cond.node, then.node, otherwise.node))
         self._maybe_collect()
         return result
+
+    def _ite(self, cond: int, then: int, otherwise: int) -> int:
+        """:meth:`ite` over raw node ids (no handle, no GC inside)."""
+        positive = self._apply(_OP_AND, cond, then)
+        negative = self._apply(_OP_AND, self._negate(cond), otherwise)
+        return self._apply(_OP_OR, positive, negative)
 
     def _terminal_apply(self, op: int, left: int, right: int) -> Optional[int]:
         """Terminal-rule result of ``op`` on ``(left, right)``, or None.

@@ -2,15 +2,17 @@
 
 A :class:`~repro.bdd.manager.BDD` handle is only meaningful inside the manager
 that hash-consed it, so provenance annotations cannot be checkpointed (or
-shipped to a restarted node) as-is.  This module flattens a BDD into a
+shipped to another process) as-is.  This module flattens a BDD into a
 self-contained :class:`SerializedBDD` — the reachable decision nodes in
-bottom-up order, each as a ``(variable, low, high)`` triple over *variable
-names* rather than manager-local indices — plus a packed byte encoding
-(12 bytes per node before the name table) for durable storage.
+bottom-up order, packed as ``(variable, low, high)`` triples into one
+``array('I')`` buffer, over *variable names* rather than manager-local
+indices.  The buffer pickles as a single bytes object.
 
-Deserialization rebuilds the function **semantically**, composing
-``ite(var, high, low)`` bottom-up through the target manager's ``apply``
-machinery.  That makes round-trips safe even when the target manager declares
+Deserialization rebuilds the function bottom-up.  A node whose variable sits
+above both rebuilt children in the target manager's order is already reduced
+and ordered there, so it is hash-consed directly with ``NodeTable.make``;
+any other node is composed as ``ite(var, high, low)`` through the apply
+machinery.  That keeps round-trips safe even when the target manager declares
 its variables in a different order than the source manager did (the node ids
 differ, but the function — and therefore the absorption-provenance semantics —
 is identical).
@@ -18,45 +20,37 @@ is identical).
 
 from __future__ import annotations
 
-import pickle
-import struct
+from array import array
 from dataclasses import dataclass
 from typing import Hashable, List, Tuple as PyTuple
 
 from repro.bdd.manager import BDD, BDDManager
 from repro.bdd.node import FALSE, TRUE
 
-#: Struct format of one encoded decision node: (name_ref, low_ref, high_ref).
-_NODE_FORMAT = "<III"
-_NODE_SIZE = struct.calcsize(_NODE_FORMAT)
-_HEADER_FORMAT = "<II"
-_HEADER_SIZE = struct.calcsize(_HEADER_FORMAT)
-
 
 @dataclass(frozen=True)
 class SerializedBDD:
     """A manager-independent description of a Boolean function.
 
-    ``nodes`` lists the decision nodes in bottom-up (children-first) order.
-    Node references use a uniform encoding: ``0`` is the FALSE terminal, ``1``
-    the TRUE terminal, and ``i + 2`` refers to ``nodes[i]``.  ``names`` is the
-    table of variable names; each node stores an index into it.
+    ``nodes`` holds the decision nodes in bottom-up (children-first) order,
+    three entries per node: ``name_ref, low_ref, high_ref``.  Node references
+    use a uniform encoding: ``0`` is the FALSE terminal, ``1`` the TRUE
+    terminal, and ``i + 2`` refers to the ``i``-th node.  ``names`` is the
+    table of variable names in the source manager's order; ``name_ref``
+    indexes it.
     """
 
     names: PyTuple[Hashable, ...]
-    nodes: PyTuple[PyTuple[int, int, int], ...]
+    nodes: array
     root: int
 
     @property
     def node_count(self) -> int:
         """Number of decision nodes in the serialized function."""
-        return len(self.nodes)
+        return len(self.nodes) // 3
 
-    def size_bytes(self) -> int:
-        """Size of the byte encoding produced by :func:`bdd_to_bytes`."""
-        return _HEADER_SIZE + _NODE_SIZE * len(self.nodes) + len(
-            pickle.dumps(self.names, protocol=pickle.HIGHEST_PROTOCOL)
-        )
+    def __hash__(self) -> int:
+        return hash((self.names, self.nodes.tobytes(), self.root))
 
 
 def serialize_bdd(bdd: BDD) -> SerializedBDD:
@@ -64,88 +58,77 @@ def serialize_bdd(bdd: BDD) -> SerializedBDD:
 
     The traversal holds raw node ids, which is safe because it performs no
     kernel operations: the manager's compacting GC only runs at the end of a
-    public operation, so the table cannot be renumbered mid-walk.
+    public operation, so the table cannot be renumbered mid-walk.  The node
+    order is a low-first post-order of the graph, so equal functions in
+    managers with the same variable order serialize equal.
 
     The name table is emitted in the *source manager's variable order* (not
     traversal-discovery order), so deserialization into a fresh manager
-    declares the variables in the same relative order and the bottom-up
-    ``ite`` rebuild stays linear instead of re-sorting every node under an
-    inverted order.
+    declares the variables in the same relative order and every node takes
+    the direct ``make`` path.
     """
+    root = bdd.node
+    if root <= TRUE:
+        return SerializedBDD((), array("I"), root)
     manager = bdd.manager
     table = manager._table
-    root = bdd.node
-    if root == FALSE:
-        return SerializedBDD((), (), FALSE)
-    if root == TRUE:
-        return SerializedBDD((), (), TRUE)
-
-    variables: set = set()
-    raw_nodes: List[PyTuple[int, int, int]] = []  # (var index, low_ref, high_ref)
-    node_refs: dict = {}  # manager node id -> serialized reference
-
-    stack: List[PyTuple[int, bool]] = [(root, False)]
+    var_arr = table._var
+    low_arr = table._low
+    high_arr = table._high
+    refs = {FALSE: FALSE, TRUE: TRUE}  # manager node id -> serialized reference
+    flat: List[int] = []  # (var index, low_ref, high_ref) per node
+    # The stack is always a path from the root, so no node is pushed twice.
+    stack = [root]
     while stack:
-        node, expanded = stack.pop()
-        if node <= TRUE or node in node_refs:
+        node = stack[-1]
+        low_ref = refs.get(low_arr[node])
+        if low_ref is None:
+            stack.append(low_arr[node])
             continue
-        var, low, high = table.triple(node)
-        if not expanded:
-            stack.append((node, True))
-            stack.append((high, False))
-            stack.append((low, False))
+        high_ref = refs.get(high_arr[node])
+        if high_ref is None:
+            stack.append(high_arr[node])
             continue
-        variables.add(var)
-        low_ref = low if low <= TRUE else node_refs[low]
-        high_ref = high if high <= TRUE else node_refs[high]
-        node_refs[node] = len(raw_nodes) + 2
-        raw_nodes.append((var, low_ref, high_ref))
-
-    ordered = sorted(variables)
+        stack.pop()
+        refs[node] = len(flat) // 3 + 2
+        flat += (var_arr[node], low_ref, high_ref)
+    ordered = sorted(set(flat[0::3]))
     position = {var: index for index, var in enumerate(ordered)}
+    flat[0::3] = [position[var] for var in flat[0::3]]
     names = tuple(manager.name_of(var) for var in ordered)
-    nodes = tuple(
-        (position[var], low_ref, high_ref) for var, low_ref, high_ref in raw_nodes
-    )
-    return SerializedBDD(names, nodes, node_refs[root])
+    return SerializedBDD(names, array("I", flat), refs[root])
 
 
 def deserialize_bdd(serialized: SerializedBDD, manager: BDDManager) -> BDD:
     """Rebuild the serialized function inside ``manager``.
 
-    Unknown variable names are declared on the fly; known names reuse the
-    manager's existing variables, so annotations restored after a restart keep
-    referring to the same base tuples.
+    Unknown variable names are declared on the fly, in name-table order;
+    known names reuse the manager's existing variables, so annotations
+    restored after a restart keep referring to the same base tuples.
 
-    The rebuild enrolls in the manager's GC protocol: the ``built`` handles
-    are live roots throughout, and automatic collection is deferred for the
-    duration so a large restore triggers at most one compaction at the end.
+    The rebuild works on raw node ids with automatic collection deferred, so
+    no compaction can renumber them mid-rebuild; only the root is wrapped in a
+    handle, before the deferral ends.
     """
+    root = serialized.root
+    if root <= TRUE:
+        return manager.true if root == TRUE else manager.false
+    nodes = serialized.nodes
     with manager.defer_gc():
-        built: List[BDD] = [manager.false, manager.true]
-        variables = [manager.variable(name) for name in serialized.names]
-        for name_ref, low_ref, high_ref in serialized.nodes:
-            built.append(
-                manager.ite(variables[name_ref], built[high_ref], built[low_ref])
-            )
-        return built[serialized.root]
-
-
-def bdd_to_bytes(bdd: BDD) -> bytes:
-    """Encode ``bdd`` as bytes: a packed node array followed by the name table."""
-    serialized = serialize_bdd(bdd)
-    header = struct.pack(_HEADER_FORMAT, serialized.root, len(serialized.nodes))
-    body = b"".join(struct.pack(_NODE_FORMAT, *triple) for triple in serialized.nodes)
-    names = pickle.dumps(serialized.names, protocol=pickle.HIGHEST_PROTOCOL)
-    return header + body + names
-
-
-def bdd_from_bytes(data: bytes, manager: BDDManager) -> BDD:
-    """Inverse of :func:`bdd_to_bytes`."""
-    root, count = struct.unpack_from(_HEADER_FORMAT, data)
-    nodes = tuple(
-        struct.unpack_from(_NODE_FORMAT, data, _HEADER_SIZE + index * _NODE_SIZE)
-        for index in range(count)
-    )
-    names = pickle.loads(data[_HEADER_SIZE + count * _NODE_SIZE :])
-    return deserialize_bdd(SerializedBDD(names, nodes, root), manager)
+        variables = [manager.variable(name).node for name in serialized.names]
+        table = manager._table
+        var_arr = table._var
+        make = table.make
+        ite = manager._ite
+        built = [FALSE, TRUE]
+        append = built.append
+        for index in range(0, len(nodes), 3):
+            var_node = variables[nodes[index]]
+            low = built[nodes[index + 1]]
+            high = built[nodes[index + 2]]
+            var = var_arr[var_node]
+            if var < var_arr[low] and var < var_arr[high]:
+                append(make(var, low, high))
+            else:
+                append(ite(var_node, high, low))
+        return BDD(manager, built[root])

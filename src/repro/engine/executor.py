@@ -480,7 +480,7 @@ class DistributedViewExecutor:
             convergence_time_s=elapsed,
             messages=stats.total_messages,
             updates_shipped=stats.total_updates_shipped,
-            view_size=len(self.view()),
+            view_size=self.view_size(),
             wall_seconds=wall_seconds,
             kernel=self._kernel_phase_stats(
                 kernel_start, wall_seconds, handler_seconds, routing_start
@@ -542,6 +542,10 @@ class DistributedViewExecutor:
         for node in self.nodes:
             result.update(node.view_tuples())
         return result
+
+    def view_size(self) -> int:
+        """Number of tuples in the materialised view."""
+        return len(self.view())
 
     def view_values(self) -> Set[PyTuple[object, ...]]:
         """The view as raw value tuples (for comparisons with ground truth)."""

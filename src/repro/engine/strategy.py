@@ -104,8 +104,8 @@ class ExecutionStrategy:
 
         A no-op for strategies whose store has no annotation kernel, and for
         ``None`` knobs; explicit per-strategy ``store_options`` win over the
-        forwarded defaults.  Shared by the harness and ``perf_check`` so a
-        new kernel knob only needs wiring here.
+        forwarded defaults.  The harness reaches every kernel knob through
+        here, so a new one only needs wiring in this method.
         """
         if gc_threshold is None or self.provenance_kind != "absorption":
             return self

@@ -81,10 +81,10 @@ def format_kernel_stats(stats: Dict[str, object], label: str = "") -> str:
     """One-line rendering of annotation-kernel telemetry.
 
     Accepts either a :meth:`repro.bdd.manager.BDDManager.gc_stats` mapping or
-    the flattened ``kernel_*`` columns of a phase row; used by
-    ``scripts/perf_check.py`` and ad-hoc diagnostics.  A part whose key is
-    absent is left out: a ``gc_stats()`` mapping has no phase clock, and
-    ``routing=0.0000s`` for it would report a measurement nobody took.
+    the flattened ``kernel_*`` columns of a phase row; used for ad-hoc
+    diagnostics.  A part whose key is absent is left out: a ``gc_stats()``
+    mapping has no phase clock, and ``routing=0.0000s`` for it would report a
+    measurement nobody took.
     """
     # (label, accepted key names, format)
     layout = (

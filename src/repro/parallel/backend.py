@@ -41,9 +41,6 @@ from repro.operators.ship import ShipMode
 from repro.parallel.envelope import TRACE_PID_STRIDE, WorkerInit
 from repro.parallel.scheduler import ProcessCoordinator
 
-#: Backwards-compatible alias; the constant lives in the protocol layer now.
-_TRACE_PID_STRIDE = TRACE_PID_STRIDE
-
 #: Kernel-stat keys that take the max when merging workers; everything else
 #: numeric sums (table sizes and counters add across disjoint managers).
 _KERNEL_MAX_KEYS = frozenset({"gc_max_pause_s"})
@@ -87,10 +84,6 @@ class _ClusterStore:
         """A cluster-wide GC pass (each worker collects its own manager)."""
         self._executor._coordinator.broadcast("collect", force)
 
-    @property
-    def kernel_clock(self) -> float:
-        return 0.0
-
 
 class _ClusterRoutingStats:
     """Routing telemetry summed across the workers plus the coordinator side."""
@@ -127,7 +120,7 @@ class _NodeProxy:
         def clear_left(self) -> None:
             coordinator = self._executor._coordinator
             coordinator.rpc(
-                coordinator.worker_for(self._node_id), "clear_join_left", self._node_id
+                [coordinator.worker_for(self._node_id)], "clear_join_left", self._node_id
             )
 
     def __init__(self, executor: "ProcessExecutor", node_id: int) -> None:
@@ -263,8 +256,16 @@ class ProcessExecutor(DistributedViewExecutor):
 
     def view_at(self, node_id: int) -> Set[Tuple]:
         coordinator = self._coordinator
-        reply = coordinator.rpc(coordinator.worker_for(node_id), "views")
+        (reply,) = coordinator.rpc([coordinator.worker_for(node_id)], "views")
         return set(reply[node_id])
+
+    def view_size(self) -> int:
+        """One count per worker instead of every view tuple pickled.
+
+        Placement is static, so each view tuple lives on exactly one node and
+        the per-worker counts add up to ``len(self.view())``.
+        """
+        return sum(self._coordinator.broadcast("view_size"))
 
     def view_annotations(self) -> Dict[Tuple, object]:
         result: Dict[Tuple, object] = {}
@@ -332,7 +333,7 @@ class ProcessExecutor(DistributedViewExecutor):
                 events,
                 tracks,
                 t0,
-                pid_offset=(wid + 1) * _TRACE_PID_STRIDE,
+                pid_offset=(wid + 1) * TRACE_PID_STRIDE,
                 label=f"worker {wid}, pid {os_pid}",
             )
 

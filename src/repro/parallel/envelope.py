@@ -8,33 +8,36 @@ Commands (coordinator → worker)::
     ("deliver", delivery_id, node, port, updates, now)   # run one handler
     ("flush",   rpc_id, now)                             # eager MinShip tick
     ("clear_join_left", rpc_id, node)                    # DRed re-derivation
-    ("views" | "view_annotations" | "state_bytes" | "kernel_stats"
-            | "metrics" | "routing" | "trace", rpc_id)   # quiescent reads
+    ("views" | "view_size" | "view_annotations" | "state_bytes"
+            | "kernel_stats" | "metrics" | "routing" | "trace", rpc_id)  # quiescent reads
     ("explain", rpc_id, view_tuple)                      # one tuple's canonical products
     ("flight",  rpc_id)                                  # flight-recorder ring snapshot
     ("collect", rpc_id, force)                           # kernel GC pass
-    ("replay",  rpc_id, unacked_delivery_ids)            # WAL recovery
+    ("replay",  rpc_id, unacked_delivery_ids, unacked_rpc_ids, doom_after)  # WAL recovery
     ("shutdown",)
 
-Results (worker → coordinator, one shared queue)::
+Results (worker → coordinator, one private pipe per worker)::
 
     ("result", delivery_id, wid, outbox, handler_seconds, prov_bytes, prov_count)
     ("rpc",    rpc_id, wid, payload)
     ("error",  ref_id, wid, traceback_text)
 
-``outbox`` entries are ``(src, dst, port, encoded_updates, size_bytes,
-sent_at)`` — every ``network.send`` the handler performed, in call order,
-with annotations already passed through the store codec
-(:meth:`~repro.provenance.tracker.ProvenanceStore.encode_annotation`) so they
-are manager-independent.  The coordinator replays them into its own event
-queue in exactly the order the single-process engine would have, which is
-what makes sequence-number assignment (and therefore the whole run)
-bit-identical.
+``outbox`` entries are ``(src, dst, port, wire_updates, size_bytes,
+sent_at)`` — every ``network.send`` the handler performed, in call order.
+A send to a node on another worker carries its annotations through the
+store codec
+(:meth:`~repro.provenance.tracker.ProvenanceStore.encode_annotation`), so
+they are manager-independent.  A send to a node on the *same* worker never
+leaves it: the updates stay in the worker's stash as live handles and the
+wire carries one :class:`StashRef` per update.  The coordinator replays the
+entries into its own event queue in exactly the order the single-process
+engine would have, which is what makes sequence-number assignment (and
+therefore the whole run) bit-identical.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.data.update import Update
@@ -106,16 +109,20 @@ def decode_updates(store, updates: Sequence[Update]) -> List[Update]:
     return decoded
 
 
-@dataclass
-class FlushSegments:
-    """One worker's reply to a ``flush`` tick: per-node outbox segments.
+class StashRef:
+    """Stands in, on the wire, for one update of a same-worker send.
 
-    The coordinator concatenates all workers' segments **sorted by node id**
-    before applying the sends, because the single-process engine flushes nodes
-    in id order and sequence numbers are assigned at send time.
+    The sending worker keeps the send's updates under ``token`` (see
+    ``WorkerNetwork.send``); the message carries ``len(updates)`` references
+    to one ``StashRef``, so update counts, coalescing and processing costs
+    see the real batch size, and the delivering worker swaps the stashed
+    updates back in.
     """
 
-    segments: List[Tuple[int, list]] = field(default_factory=list)
-    released: int = 0
-    prov_bytes: int = 0
-    prov_count: int = 0
+    __slots__ = ("token",)
+
+    def __init__(self, token: int) -> None:
+        self.token = token
+
+    def __reduce__(self):
+        return StashRef, (self.token,)

@@ -1,7 +1,7 @@
 """The deterministic virtual-clock scheduler driving the worker pool.
 
 :class:`ProcessCoordinator` subclasses :class:`~repro.net.simulator.SimulatedNetwork`
-and keeps its entire scheduling state — the ``(arrival, seq)`` heap, per-node
+and keeps its entire scheduling state — the ``(arrival, seq)`` queue, per-node
 ``busy_until``, per-channel FIFO watermarks, the statistics accumulator — but
 replaces the inline handler call with a **dispatch** to the worker process
 hosting the destination node.
@@ -10,32 +10,60 @@ Bit-identity argument
 ---------------------
 
 The single-process engine pops events in ``(arrival, seq)`` order and runs
-each handler to completion before the next pop, so a handler's sends enter
-the queue before any later event is examined.  The coordinator relaxes only
-the "runs to completion" part; everything observable is preserved by three
-rules:
+each handler to completion before the next pop.  A handler's sends arrive no
+earlier than its completion and take fresh sequence numbers, so every event
+they create sorts after the popped one: the serial pop sequence is strictly
+increasing in ``(arrival, seq)``.  The coordinator overlaps handlers and
+keeps everything observable through three rules.
 
-1. **Safe-dispatch rule.**  The front event ``E`` (destination ``d``) may be
-   dispatched only while ``start(E) = max(busy_until[d], arrival(E)) <
-   c_min``, *strictly*, where ``c_min`` is the minimum completion time over
-   all in-flight deliveries.  Any event ``G`` a still-running handler might
-   send arrives at ``sent_at + latency >= completion >= c_min > start(E) >=
-   arrival(E)`` — so ``G`` can neither precede ``E`` in the heap order nor be
-   eligible for ``E``'s coalescing drain (which only absorbs arrivals ``<=
-   start(E)``).  The pop sequence is therefore exactly the serial pop
-   sequence, and the events-processed counter, coalesced groupings, per-event
-   processing costs and the virtual clock all advance identically.
+1. **Serial-order application.**  Dispatched-but-unapplied deliveries sit in
+   a heap keyed by ``(arrival, seq)``, and results are applied strictly in
+   that order — the serial pop order.  Everything the serial engine does
+   after a pop happens at application time, in the same order: ``_now`` and
+   the convergence watermark advance, due worker kills fire, and the
+   handler's recorded sends are replayed through :meth:`_push_encoded` (the
+   body of ``SimulatedNetwork.send``), so sequence numbers, FIFO watermarks,
+   byte accounting and chaos decisions come out identical.
 
-2. **Pop-order application.**  Results are applied strictly in dispatch
-   (= pop) order, buffering out-of-order arrivals.  A handler's recorded
-   sends are replayed through :meth:`_push_encoded` — the exact body of
-   ``SimulatedNetwork.send`` — so message construction, byte accounting,
-   FIFO watermarks and **sequence numbers** are assigned in the same order,
-   with the same values, as the serial engine assigned them.
+2. **Dispatch rule.**  Only the queue front is ever considered.  The front
+   ``F`` (destination ``d``, ``start = max(busy_until[d], arrival)``) is
+   dispatched at once when it precedes every unapplied delivery.  When some
+   unapplied deliveries precede it, their results — and the events those
+   results will create — are still unknown, so ``F`` is dispatched only if
+   none of those events could come before it or join its delivery:
 
-3. **Per-worker FIFO.**  Deliveries to one node go to one worker and its
-   command queue preserves order, so two safely-overlapping deliveries to the
-   same node still execute in pop order against its state.
+   * ``d`` has no preceding unapplied delivery.  (The rule's literal form
+     is "``start`` is before the completion of every preceding unapplied
+     delivery to ``d``"; ``busy_until[d]`` already covers every delivery
+     dispatched to ``d``, so that only holds when there is none.)
+   * ``start < c_min + L``, where ``c_min`` is the earliest completion of a
+     preceding unapplied delivery and ``L`` the minimum latency between
+     distinct nodes in the latency model (chaos and the FIFO clamp only add
+     delay).  An unknown event can precede ``F`` only as a chain of
+     zero-latency self-sends rooted at a preceding delivery — on that
+     delivery's node, never on ``d`` — while any unknown event *to* ``d``
+     crosses a link and arrives at ``>= c_min + L > start``.
+   * ``F``'s coalescing drain absorbs no arrival at or after ``c_min``:
+     every absorbed event must sort before every unknown event, or the
+     serial drain might have been cut short by one.
+
+   Every drain also stops at the key of the earliest *later* unapplied
+   delivery, which in the serial run would still be queued there.  A chaos
+   ghost is popped only when it is serially next.  Together, ``F`` sees the
+   ``busy_until[d]``, the drain and the node state it sees serially, and no
+   node ever has two unapplied deliveries; dispatching to a node whose
+   unapplied delivery sorts *after* ``F`` would break that, so it raises
+   :class:`SimulationError` instead of being assumed away.
+
+3. **Why per node suffices.**  Deliveries run on their worker in dispatch
+   order, which differs from serial order only where ``F`` overtook an
+   unknown self-send chain on another node.  Nodes share nothing but their
+   worker's BDD manager, and there only the *variable order* is observable
+   (node counts — every byte metric — are canonical given the order).
+   Variables are created only by base/seed handlers, whose injected events
+   are queued before the run, and by decoding cross-worker annotations, whose
+   messages cross a link; a zero-latency local product never creates one.
+   Every variable-creating delivery is therefore dispatched in key order.
 
 Faults, control events and ``run(until=...)`` are not supported on this
 backend (they need mid-run coordinator/worker state surgery); scheduling them
@@ -53,8 +81,8 @@ import pickle
 import queue as queue_module
 import signal
 import time
-from collections import OrderedDict, deque
-from typing import Callable, Dict, List, Optional
+from collections import deque
+from typing import Callable, Dict, Iterable, List, Optional
 
 from repro.net.message import Message
 from repro.net.simulator import (
@@ -117,10 +145,20 @@ class ProcessCoordinator(SimulatedNetwork):
         self._processes: List = []
         self._delivery_ids = itertools.count(1)
         self._rpc_ids = itertools.count(1)
-        #: delivery_id -> (wid, command, completion); insertion order is
-        #: dispatch order is pop order is application order.
-        self._inflight: "OrderedDict[int, tuple]" = OrderedDict()
-        self._min_inflight = float("inf")
+        #: Dispatched-but-unapplied deliveries: delivery_id -> (wid, command),
+        #: in dispatch order (the order a worker executes them in).
+        self._deliveries: Dict[int, tuple] = {}
+        #: The same deliveries as a heap of (arrival, seq, completion,
+        #: delivery_id, node): the application order.
+        self._pending: List[tuple] = []
+        latency = self.latency_model.latency
+        nodes = range(self.node_count)
+        #: L of the dispatch rule: the minimum latency between distinct nodes.
+        self._min_remote_latency = min(
+            (latency(src, dst) for src in nodes for dst in nodes if src != dst),
+            default=float("inf"),
+        )
+        #: Results read off the pipes before their turn to be applied.
         self._results: Dict[int, tuple] = {}
         #: RPC replies that arrived while waiting for a different rpc id
         #: (only possible around worker recovery, when a replayed flush/clear
@@ -128,7 +166,7 @@ class ProcessCoordinator(SimulatedNetwork):
         self._rpc_replies: Dict[int, object] = {}
         self._closed = False
         #: Chaos plane: pending deterministic SIGKILLs as (virtual_time, wid),
-        #: sorted; fired by ``_dispatch_ready`` when the clock passes them.
+        #: sorted; fired at application time when the clock passes them.
         self._pending_kills: List[tuple] = []
         self.worker_kills = 0
         self.worker_respawns = 0
@@ -228,18 +266,19 @@ class ProcessCoordinator(SimulatedNetwork):
     def _fire_due_kills(self) -> None:
         """Deliver every scheduled SIGKILL whose virtual time has arrived.
 
-        A kill only fires while its victim is idle (none of the in-flight
-        commands belong to it).  An idle worker is blocked reading its own
-        command queue and holds no lock on the *shared* result queue, so the
-        SIGKILL cannot land mid-``put()`` and poison the queue's writer lock
-        for every other worker — which would deadlock the whole pool.  A busy
-        victim's kill stays pending and fires at the first check after the
-        coordinator has consumed its outstanding results, which is still a
-        deterministic virtual-time point.
+        A kill only fires while its victim has no dispatched-but-unapplied
+        delivery.  The victim is then blocked reading its command queue,
+        between two commands: its WAL holds exactly the commands whose
+        results were applied, and its private result pipe holds no
+        half-written reply.  A kill due while the victim is busy stays
+        pending and fires at the first application after the victim's last
+        result — still a deterministic point, because dispatch decisions and
+        application order depend only on virtual time, never on which reply
+        happens to arrive first.
         """
         while self._pending_kills and self._pending_kills[0][0] <= self._now:
             at_time, wid = self._pending_kills[0]
-            if any(owner == wid for owner, _, _ in self._inflight.values()):
+            if any(owner == wid for owner, _ in self._deliveries.values()):
                 break
             heapq.heappop(self._pending_kills)
             process = self._processes[wid]
@@ -276,109 +315,147 @@ class ProcessCoordinator(SimulatedNetwork):
     def run(self, until: Optional[float] = None):
         if until is not None:
             raise SimulationError("the process backend runs to quiescence only")
-        queue = self._queue
-        inflight = self._inflight
-        while queue or inflight:
-            self._dispatch_ready()
-            if not inflight:
-                if not queue:
-                    break
-                continue
-            self._apply_oldest()
-        return self.stats
+        while True:
+            self._dispatch()
+            # With nothing unapplied the front is always dispatchable, so an
+            # empty heap here means an empty queue: quiescence.
+            if not self._pending:
+                return self.stats
+            self._apply_next()
 
-    def _dispatch_ready(self) -> None:
-        """Pop-and-dispatch front events while the safe-dispatch rule holds."""
+    def _dispatch(self) -> None:
+        """Pop and dispatch queue fronts while the dispatch rule allows it."""
         queue = self._queue
+        pending = self._pending
         busy_until = self._node_busy_until
-        inflight = self._inflight
-        processing_cost = self.processing_cost
-        max_events = self.max_events
-        monotonic = time.monotonic
+        remote_latency = self._min_remote_latency
         while queue:
-            arrival, _, message = queue[0]
+            entry = queue[0]
+            arrival, seq, message = entry
+            key = (arrival, seq)
             if not isinstance(message, Message):
-                if isinstance(message, _GhostDelivery):
-                    # A chaos-injected duplicate wire copy: suppressed at
-                    # delivery, exactly like the in-process engine — no clock
-                    # advance, no event count, no handler dispatch.
-                    heapq.heappop(queue)
-                    if self._chaos is not None:
-                        self._chaos.on_ghost(message.message, arrival)
-                    continue
-                raise SimulationError(
-                    f"unsupported event {type(message).__name__} on the process backend"
-                )
+                if not isinstance(message, _GhostDelivery):
+                    raise SimulationError(
+                        f"unsupported event {type(message).__name__} on the process backend"
+                    )
+                if pending and pending[0][:2] < key:
+                    return
+                # A chaos-injected duplicate wire copy: suppressed at
+                # delivery, exactly like the in-process engine — no clock
+                # advance, no event count, no handler dispatch.
+                heapq.heappop(queue)
+                if self._chaos is not None:
+                    self._chaos.on_ghost(message.message, arrival)
+                continue
             dst = message.dst
+            horizon = None  # earliest completion of a preceding unapplied delivery
+            stop = None  # key of the earliest later unapplied delivery
+            for p_arrival, p_seq, p_completion, _, p_node in pending:
+                p_key = (p_arrival, p_seq)
+                if p_node == dst:
+                    if p_key > key:
+                        raise SimulationError(
+                            f"node {dst} already has a later delivery {p_key} in flight "
+                            f"ahead of {key}: dispatch order broke"
+                        )
+                    return  # the same node's predecessor must be applied first
+                if p_key < key:
+                    if horizon is None or p_completion < horizon:
+                        horizon = p_completion
+                elif stop is None or p_key < stop:
+                    stop = p_key
             start = busy_until[dst]
             if arrival > start:
                 start = arrival
-            if inflight and start >= self._min_inflight:
-                break
+            if horizon is not None and start >= horizon + remote_latency:
+                return
             heapq.heappop(queue)
-            self._events_processed += 1
-            if self._events_processed > max_events:
-                raise SimulationBudgetExceeded(
-                    f"exceeded {max_events} events; the computation is not converging"
-                )
-            if (
-                self._wall_deadline is not None
-                and self._events_processed % 32 == 0
-                and monotonic() > self._wall_deadline
-            ):
-                raise SimulationBudgetExceeded(
-                    f"exceeded the wall-clock budget of {self.max_wall_seconds} seconds"
-                )
-            if message.epoch < self.current_epoch:
-                self.stats.stale_epoch_messages += 1
-            updates = self._coalesce_ready(message, start, None)
-            completion = start + processing_cost * max(len(updates), 1)
+            absorbed = self._drain(message, start, stop, horizon)
+            if absorbed is None:
+                heapq.heappush(queue, entry)
+                return
+            updates = message.updates
+            self._count_event(message)
+            if absorbed:
+                updates = list(updates)
+                for _, _, head in absorbed:
+                    self._count_event(head)
+                    updates.extend(head.updates)
+                self.coalesced_deliveries += len(absorbed)
+            completion = start + self.processing_cost * max(len(updates), 1)
             busy_until[dst] = completion
-            self._now = completion
-            self.stats.record_time(completion)
-            if self._pending_kills:
-                self._fire_due_kills()
             delivery_id = next(self._delivery_ids)
             wid = dst % self.workers
             command = ("deliver", delivery_id, dst, message.port, tuple(updates), completion)
-            inflight[delivery_id] = (wid, command, completion)
-            if completion < self._min_inflight:
-                self._min_inflight = completion
+            self._deliveries[delivery_id] = (wid, command)
+            heapq.heappush(pending, (arrival, seq, completion, delivery_id, dst))
             self._command_queues[wid].put(command)
 
-    def _apply_oldest(self) -> None:
-        """Block for the oldest in-flight delivery's result and apply it."""
-        delivery_id = next(iter(self._inflight))
-        result = None
-        while result is None:
-            # Re-check the parked results every pass: a worker-death recovery
-            # triggered from ``_next_result_item`` drains the result pipes
-            # into ``self._results``, so the result being waited on here can
-            # appear in the dict without ever coming back as a fresh item.
-            result = self._results.pop(delivery_id, None)
-            if result is not None:
+    def _drain(self, message: Message, start: float, stop, horizon) -> Optional[list]:
+        """Pop the queue entries ``message``'s delivery coalesces with.
+
+        ``SimulatedNetwork._coalesce_ready``'s rule — the contiguous front
+        run for the same (destination, port) arriving by ``start``, up to
+        ``max_batch`` updates — cut at ``stop``, the key of the earliest
+        later unapplied delivery.  Returns ``None``, with the queue as it
+        was, when the drain would absorb an arrival at or after ``horizon``:
+        the delivery must then wait (see the module docstring).
+        """
+        policy = self.batch_policy
+        if not policy.batches_port(message.port) or policy.max_batch <= 1:
+            return []
+        queue = self._queue
+        dst = message.dst
+        port = message.port
+        size = len(message.updates)
+        absorbed = []
+        while queue and size < policy.max_batch:
+            entry = queue[0]
+            arrival, seq, head = entry
+            if (
+                not isinstance(head, Message)
+                or head.dst != dst
+                or head.port != port
+                or arrival > start
+                or (stop is not None and (arrival, seq) > stop)
+            ):
                 break
-            item = self._next_result_item()
-            if item is None:
-                continue
-            kind = item[0]
-            if kind == "result":
-                if item[1] == delivery_id:
-                    result = item
-                else:
-                    self._results[item[1]] = item
-            elif kind == "error":
-                raise SimulationError(f"worker {item[2]} failed:\n{item[3]}")
-            else:
-                raise SimulationError(f"unexpected {kind!r} reply during a run")
-        self._inflight.popitem(last=False)
-        self._min_inflight = min(
-            (completion for _, _, completion in self._inflight.values()),
-            default=float("inf"),
-        )
+            if horizon is not None and arrival >= horizon:
+                for taken in absorbed:
+                    heapq.heappush(queue, taken)
+                return None
+            heapq.heappop(queue)
+            absorbed.append(entry)
+            size += len(head.updates)
+        return absorbed
+
+    def _count_event(self, message: Message) -> None:
+        """The serial loop's per-event bookkeeping and budget checks."""
+        self._events_processed += 1
+        if self._events_processed > self.max_events:
+            raise SimulationBudgetExceeded(
+                f"exceeded {self.max_events} events; the computation is not converging"
+            )
+        if (
+            self._wall_deadline is not None
+            and self._events_processed % 32 == 0
+            and time.monotonic() > self._wall_deadline
+        ):
+            raise SimulationBudgetExceeded(
+                f"exceeded the wall-clock budget of {self.max_wall_seconds} seconds"
+            )
+        if message.epoch < self.current_epoch:
+            self.stats.stale_epoch_messages += 1
+
+    def _apply_next(self) -> None:
+        """Wait for the earliest-keyed unapplied delivery's result and apply it."""
+        _, _, completion, delivery_id, _ = self._pending[0]
+        result = self._await_result(delivery_id)
+        heapq.heappop(self._pending)
+        del self._deliveries[delivery_id]
+        self._now = completion
+        self.stats.record_time(completion)
         if self._pending_kills:
-            # A kill deferred because its victim was busy may be safe now
-            # that the victim's result has been consumed.
             self._fire_due_kills()
         _, _, _, outbox, handler_seconds, prov_bytes, prov_count = result
         self.handler_seconds += handler_seconds
@@ -386,6 +463,29 @@ class ProcessCoordinator(SimulatedNetwork):
             self.stats.record_provenance(prov_bytes, prov_count)
         for src, dst, port, updates, size_bytes, sent_at in outbox:
             self._push_encoded(src, dst, port, updates, size_bytes, sent_at)
+
+    def _await_result(self, delivery_id: int) -> tuple:
+        """Block until ``delivery_id``'s result is in; park everyone else's."""
+        while True:
+            # Re-check the parked results every pass: a worker-death recovery
+            # triggered from ``_next_result_item`` drains the result pipes
+            # into ``self._results``, so the result being waited on here can
+            # appear in the dict without ever coming back as a fresh item.
+            result = self._results.pop(delivery_id, None)
+            if result is not None:
+                return result
+            item = self._next_result_item()
+            if item is None:
+                continue
+            kind = item[0]
+            if kind == "result":
+                if item[1] == delivery_id:
+                    return item
+                self._results[item[1]] = item
+            elif kind == "error":
+                raise SimulationError(f"worker {item[2]} failed:\n{item[3]}")
+            else:
+                raise SimulationError(f"unexpected {kind!r} reply during a run")
 
     def _queue_get(self, timeout: float):
         """One item from any worker's result pipe; ``Empty`` on timeout.
@@ -434,11 +534,11 @@ class ProcessCoordinator(SimulatedNetwork):
                 polls += 1
                 if polls % 20 == 0 and os.environ.get("REPRO_CHAOS_DEBUG"):
                     _chaos_debug(
-                        "stalled: inflight="
+                        "stalled: unapplied="
                         + repr(
                             [
                                 (did, owner)
-                                for did, (owner, _, _) in self._inflight.items()
+                                for did, (owner, _) in self._deliveries.items()
                             ][:8]
                         )
                         + f" results={sorted(self._results)[:8]}"
@@ -533,7 +633,7 @@ class ProcessCoordinator(SimulatedNetwork):
         process.join(timeout=self._join_seconds)
         unacked = [
             (delivery_id, command)
-            for delivery_id, (owner, command, _) in self._inflight.items()
+            for delivery_id, (owner, command) in self._deliveries.items()
             if owner == wid and delivery_id not in self._results
         ]
         unacked_rpcs = frozenset()
@@ -637,22 +737,33 @@ class ProcessCoordinator(SimulatedNetwork):
             else:
                 raise SimulationError(f"unexpected {kind!r} reply to rpc {rpc_id}")
 
-    def rpc(self, wid: int, op: str, *payload):
-        """One quiescent-point request/response exchange with worker ``wid``."""
-        if self._inflight:
+    def rpc(self, workers: Iterable[int], op: str, *payload) -> List:
+        """One quiescent-point request/response exchange with each of ``workers``.
+
+        Every request is sent before any reply is awaited, so the workers
+        serve them concurrently; replies come back in ``workers`` order.
+        """
+        if self._pending:
             raise SimulationError(f"rpc {op!r} attempted with deliveries in flight")
-        rpc_id = next(self._rpc_ids)
-        command = (op, rpc_id) + payload
-        self._command_queues[wid].put(command)
-        while True:
-            try:
-                return self._wait_rpc(rpc_id, wid)
-            except _WorkerDied:
-                self._recover_worker(wid, pending_rpc=(rpc_id, command))
+        requests = []
+        for wid in workers:
+            rpc_id = next(self._rpc_ids)
+            command = (op, rpc_id) + payload
+            self._command_queues[wid].put(command)
+            requests.append((wid, rpc_id, command))
+        replies = []
+        for wid, rpc_id, command in requests:
+            while True:
+                try:
+                    replies.append(self._wait_rpc(rpc_id, wid))
+                    break
+                except _WorkerDied:
+                    self._recover_worker(wid, pending_rpc=(rpc_id, command))
+        return replies
 
     def broadcast(self, op: str, *payload) -> List:
         """The same RPC to every worker; replies ordered by worker id."""
-        return [self.rpc(wid, op, *payload) for wid in range(self.workers)]
+        return self.rpc(range(self.workers), op, *payload)
 
     # -- eager-flush protocol ------------------------------------------------------------
     def flush_eager_ships(self) -> int:

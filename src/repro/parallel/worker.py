@@ -13,10 +13,15 @@ do in-process, but here the network is :class:`WorkerNetwork` — a stub that
 records each send into an outbox which rides back to the coordinator on the
 command's result.  The coordinator replays those sends into its own event
 queue, which is the single source of ``(time, seq)`` ordering truth.
+
+A send between two nodes of the same worker keeps its payload here: the
+updates wait in the worker's stash as live handles, and only placeholders
+travel through the coordinator (see :class:`WorkerNetwork`).
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 import signal
 import traceback
@@ -29,7 +34,7 @@ from repro.engine.runtime import ProcessorNode
 from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.obs.trace import Tracer, install_tracer
 from repro.operators.ship import MinShipOperator, ShipMode
-from repro.parallel.envelope import WorkerInit, decode_updates, encode_updates
+from repro.parallel.envelope import StashRef, WorkerInit, decode_updates, encode_updates
 
 
 class _WorkerStats:
@@ -61,21 +66,35 @@ class _WorkerStats:
 class WorkerNetwork:
     """The :class:`~repro.net.transport.Transport` a worker's nodes send through.
 
-    ``send`` does no scheduling at all: it encodes the batch's annotations
-    through the store codec and appends one outbox entry.  The coordinator —
-    the only holder of the virtual clock — turns outbox entries back into
-    queue events with the exact semantics of ``SimulatedNetwork.send``.
+    ``send`` does no scheduling at all: it appends one outbox entry, and the
+    coordinator — the only holder of the virtual clock — turns outbox entries
+    back into queue events with the exact semantics of
+    ``SimulatedNetwork.send``.
+
+    A send to a node on another worker encodes its annotations through the
+    store codec.  A send to a node on *this* worker keeps its updates, live,
+    in :attr:`stash` under the next value of a per-incarnation send counter
+    and ships ``len(updates)`` :class:`~repro.parallel.envelope.StashRef`
+    placeholders instead; :meth:`unstash` swaps them back at delivery.  The
+    counter restarts with every process, and WAL replay re-executes the
+    logged commands in their original order, so a respawned worker
+    regenerates exactly the tokens its predecessor handed out.
     """
 
-    def __init__(self, node_count: int, store, tracer=None) -> None:
+    def __init__(self, node_count: int, store, wid: int, workers: int, tracer=None) -> None:
         self.node_count = node_count
         self._store = store
+        self._wid = wid
+        self._workers = workers
         self.stats = _WorkerStats()
         self.tracer = tracer
         #: Static process runs never change placement: epoch stays 0, exactly
         #: like a ``SimulatedNetwork`` without an epoch provider.
         self.current_epoch = 0
         self.outbox: List[tuple] = []
+        #: token -> the updates of one same-worker send, awaiting delivery.
+        self.stash: Dict[int, tuple] = {}
+        self._tokens = itertools.count()
 
     def active_nodes(self) -> List[int]:
         return list(range(self.node_count))
@@ -91,9 +110,31 @@ class WorkerNetwork:
     ) -> None:
         if at_time is None:
             raise RuntimeError("worker-side sends must carry an explicit at_time")
-        self.outbox.append(
-            (src, dst, port, encode_updates(self._store, updates), size_bytes, at_time)
-        )
+        if dst % self._workers == self._wid:
+            token = next(self._tokens)
+            self.stash[token] = tuple(updates)
+            wire = (StashRef(token),) * len(updates)
+        else:
+            wire = encode_updates(self._store, updates)
+        self.outbox.append((src, dst, port, wire, size_bytes, at_time))
+
+    def unstash(self, updates: Sequence) -> List:
+        """A delivered batch with every stashed send's updates back in place.
+
+        Coalescing concatenates whole messages, so each send's placeholders
+        arrive as one contiguous run.
+        """
+        restored: List = []
+        token = None
+        for update in updates:
+            if type(update) is StashRef:
+                if update.token != token:
+                    token = update.token
+                    restored.extend(self.stash.pop(token))
+            else:
+                token = None
+                restored.append(update)
+        return restored
 
     def take_outbox(self) -> List[tuple]:
         taken = self.outbox
@@ -144,7 +185,9 @@ class Worker:
         self._recorder = recorder
         self.store = init.strategy.create_store()
         self.routing_stats = RoutingStats()
-        self.network = WorkerNetwork(init.node_count, self.store, tracer=recorder)
+        self.network = WorkerNetwork(
+            init.node_count, self.store, init.wid, init.workers, tracer=recorder
+        )
         self.nodes: Dict[int, ProcessorNode] = {
             node_id: ProcessorNode(
                 node_id,
@@ -202,7 +245,7 @@ class Worker:
         """Run one handler; ship its outbox and telemetry back as the result."""
         _, delivery_id, node_id, port, updates, now = command
         node = self.nodes[node_id]
-        decoded = decode_updates(self.store, updates)
+        decoded = decode_updates(self.store, self.network.unstash(updates))
         tracer = self._recorder
         span = None
         if tracer is not None:
@@ -271,6 +314,13 @@ class Worker:
             node_id: frozenset(node.view_tuples()) for node_id, node in self.nodes.items()
         }
         self.result_queue.put(("rpc", rpc_id, self.wid, payload))
+
+    def view_size(self, rpc_id) -> None:
+        """How many view tuples this worker's nodes hold (one count, not the tuples)."""
+        held = set()
+        for node in self.nodes.values():
+            held.update(node.view_tuples())
+        self.result_queue.put(("rpc", rpc_id, self.wid, len(held)))
 
     def view_annotations(self, rpc_id) -> None:
         """Canonical (manager-independent) eager provenance of the local view slice."""
@@ -406,6 +456,8 @@ class Worker:
             self.clear_join_left(command)
         elif op == "views":
             self.views(command[1])
+        elif op == "view_size":
+            self.view_size(command[1])
         elif op == "view_annotations":
             self.view_annotations(command[1])
         elif op == "state_bytes":

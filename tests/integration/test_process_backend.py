@@ -275,3 +275,58 @@ def test_worker_traces_merge_into_coordinator_trace(workload):
     assert any("worker 0" in label for label in labels)
     assert any("worker 1" in label for label in labels)
     assert tracer.open_span_count() == 0
+
+
+#: Per-phase ``(messages, updates_shipped, communication_mb, state_mb,
+#: per_tuple_provenance_bytes)`` of the 12-node, 2-worker Absorption Lazy run
+#: below, recorded before the dispatch rule overlapped deliveries.  The byte
+#: numbers are node counts in each worker's own BDD manager, so they depend
+#: on each worker's variable order: any delivery that creates a variable,
+#: dispatched out of serial order, moves them.
+PINNED_LAZY_PHASES = {
+    "insert": (624, 1568, 0.125772, 0.41566, 59.826530612244895),
+    "delete": (96, 264, 0.027457, 0.233259, 161.0909090909091),
+    "reinsert": (361, 674, 0.073345, 0.440687, 87.78635014836796),
+}
+
+
+def _lazy_churn_phases(backend, workers=None):
+    topology = generate_topology(TransitStubConfig(nodes_per_stub=2, dense=True, seed=7))
+    links = topology.link_tuples()
+    deletions = deletion_sample(links, 0.2, seed=7)
+    executor = build_executor(
+        reachability_plan(), "Absorption Lazy", node_count=12, backend=backend, workers=workers
+    )
+    try:
+        phases = {}
+        for label, run in (
+            ("insert", lambda: executor.insert_edges(links)),
+            ("delete", lambda: executor.delete_edges(deletions)),
+            ("reinsert", lambda: executor.insert_edges(deletions)),
+        ):
+            metrics = run()
+            assert executor.view_size() == len(executor.view()) == metrics.view_size
+            phases[label] = (
+                metrics.messages,
+                metrics.updates_shipped,
+                metrics.communication_mb,
+                metrics.state_mb,
+                metrics.per_tuple_provenance_bytes,
+            )
+        return phases
+    finally:
+        executor.close()
+
+
+def test_process_byte_telemetry_is_pinned_at_six_nodes_per_worker():
+    """Six nodes share each worker's BDD manager, so overlapping deliveries on
+    one worker must keep its variable order — and every byte count — exact."""
+    assert _lazy_churn_phases("process", workers=2) == PINNED_LAZY_PHASES
+
+
+def test_view_size_counts_the_view_on_the_sim_backend():
+    phases = _lazy_churn_phases("sim")
+    # Same traffic as the process run; bytes are the single manager's.
+    assert {label: row[:2] for label, row in phases.items()} == {
+        label: row[:2] for label, row in PINNED_LAZY_PHASES.items()
+    }

@@ -5,7 +5,7 @@ additionally interrupted by ``collect()`` calls (including forced
 compactions, which renumber every node id) at random points.  Because
 handles are renumbered in place and the serialized form is name-based and
 canonical, the GC run must be observationally identical to the GC-free run:
-same evaluation results, bit-identical ``bdd_to_bytes`` output, and
+same evaluation results, equal ``serialize_bdd`` output, and
 hash-consing (``make`` canonicity) must keep holding after every compaction.
 """
 
@@ -14,7 +14,7 @@ import itertools
 from hypothesis import given, settings, strategies as st
 
 from repro.bdd import BDDManager
-from repro.bdd.serialize import bdd_to_bytes
+from repro.bdd.serialize import serialize_bdd
 
 VARIABLES = ["p1", "p2", "p3", "p4", "p5"]
 
@@ -85,9 +85,9 @@ def test_interleaved_collect_preserves_functions_bit_identically(steps, points):
     pool_gc = _run_sequence(collected, steps, collect_points=points)
     assert len(pool_plain) == len(pool_gc)
     for reference, survivor in zip(pool_plain, pool_gc):
-        # Name-based canonical serialization must agree bit for bit (and,
-        # being canonical, bit-identical bytes mean identical functions).
-        assert bdd_to_bytes(reference) == bdd_to_bytes(survivor)
+        # Name-based canonical serialization must agree node for node (and,
+        # being canonical, equal serializations mean identical functions).
+        assert serialize_bdd(reference) == serialize_bdd(survivor)
     # Spot-check semantics on the final (most-derived) entry as well.
     reference, survivor = pool_plain[-1], pool_gc[-1]
     if reference.node > 1:
@@ -104,7 +104,7 @@ def test_automatic_gc_matches_gc_free_run(steps, points):
     pool_plain = _run_sequence(plain, steps)
     pool_auto = _run_sequence(auto, steps, collect_points=points)
     for reference, survivor in zip(pool_plain, pool_auto):
-        assert bdd_to_bytes(reference) == bdd_to_bytes(survivor)
+        assert serialize_bdd(reference) == serialize_bdd(survivor)
 
 
 @settings(max_examples=50, deadline=None)

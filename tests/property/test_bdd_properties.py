@@ -7,12 +7,13 @@ are semantically equal iff their BDD nodes coincide.
 """
 
 import itertools
+import pickle
 
 from hypothesis import given, settings, strategies as st
 
 from repro.bdd import BDDManager
 from repro.bdd.expr import BoolExpr
-from repro.bdd.serialize import bdd_from_bytes, bdd_to_bytes, deserialize_bdd, serialize_bdd
+from repro.bdd.serialize import deserialize_bdd, serialize_bdd
 
 VARIABLES = ["p1", "p2", "p3", "p4"]
 
@@ -147,6 +148,20 @@ def test_sat_count_matches_enumeration(tree):
 
 # -- serialization: round-trips preserve semantics ------------------------------------
 
+def _ite_rebuild(serialized, manager):
+    """The reference decoder: every node composed as ``ite`` inside ``manager``."""
+    variables = [manager.variable(name) for name in serialized.names]
+    built = [manager.false, manager.true]
+    nodes = serialized.nodes
+    for index in range(0, len(nodes), 3):
+        built.append(
+            manager.ite(
+                variables[nodes[index]], built[nodes[index + 2]], built[nodes[index + 1]]
+            )
+        )
+    return built[serialized.root]
+
+
 @settings(max_examples=120, deadline=None)
 @given(_expressions())
 def test_serialize_round_trip_same_manager_is_identity(tree):
@@ -154,27 +169,38 @@ def test_serialize_round_trip_same_manager_is_identity(tree):
     manager = BDDManager()
     manager.variables(*VARIABLES)
     bdd = _to_bdd(tree, manager)
-    assert deserialize_bdd(serialize_bdd(bdd), manager) == bdd
-    assert bdd_from_bytes(bdd_to_bytes(bdd), manager) == bdd
+    serialized = serialize_bdd(bdd)
+    assert deserialize_bdd(serialized, manager) == bdd
+    assert deserialize_bdd(pickle.loads(pickle.dumps(serialized)), manager) == bdd
 
 
-@settings(max_examples=120, deadline=None)
-@given(_expressions(), st.permutations(VARIABLES))
-def test_serialize_round_trip_fresh_manager_preserves_semantics(tree, declared_order):
-    """Across managers — even with a different variable order — the decoded
-    function is semantically equal to the original (checkpoint/restore safety)."""
-    manager = BDDManager()
-    manager.variables(*VARIABLES)
-    bdd = _to_bdd(tree, manager)
-    fresh = BDDManager()
-    fresh.variables(*declared_order)
-    restored = bdd_from_bytes(bdd_to_bytes(bdd), fresh)
+@settings(max_examples=200, deadline=None)
+@given(
+    _expressions(),
+    st.permutations(VARIABLES),
+    st.integers(min_value=0, max_value=len(VARIABLES)),
+)
+def test_serialize_round_trip_fresh_manager_preserves_semantics(tree, order, declared):
+    """Across managers — even one that already declared some of the names, in
+    any order — the decoded function evaluates like the original and is
+    exactly the node the ``ite``-only rebuild builds (the direct ``make``
+    path is only a shortcut)."""
+    source = BDDManager()
+    source.variables(*VARIABLES)
+    bdd = _to_bdd(tree, source)
+    serialized = pickle.loads(pickle.dumps(serialize_bdd(bdd)))
+    target = BDDManager()
+    target.variables(*order[:declared])
+    restored = deserialize_bdd(serialized, target)
     for assignment in _all_assignments():
         expected = _evaluate(tree, assignment)
         if restored.node <= 1:
             assert restored.is_true() == expected
         else:
             assert restored.evaluate(assignment) == expected
+    reference = _ite_rebuild(serialized, target)
+    assert restored == reference
+    assert serialize_bdd(restored) == serialize_bdd(reference)
 
 
 @settings(max_examples=100, deadline=None)

@@ -8,12 +8,13 @@ variables through the public operations **without touching
 ``sys.setrecursionlimit``** — they pass only because the kernel is iterative.
 """
 
+import pickle
 import sys
 
 import pytest
 
 from repro.bdd import BDDManager
-from repro.bdd.serialize import bdd_from_bytes, bdd_to_bytes
+from repro.bdd.serialize import deserialize_bdd, serialize_bdd
 
 #: Deeper than any default recursion limit by a wide margin.
 DEPTH = 5000
@@ -103,16 +104,19 @@ class TestDeepChains:
     def test_deep_serialize_round_trip(self, mgr):
         names = [f"x{i}" for i in range(DEPTH)]
         chain = _conjunction_chain(mgr, names)
-        data = bdd_to_bytes(chain)
+        serialized = serialize_bdd(chain)
+        shipped = pickle.loads(pickle.dumps(serialized))
+        assert shipped == serialized
         fresh = BDDManager()
-        restored = bdd_from_bytes(data, fresh)
+        restored = deserialize_bdd(shipped, fresh)
         assert restored.node_count() == DEPTH
+        assert serialize_bdd(restored) == serialized
         assert restored.evaluate({name: True for name in names})
 
     def test_deep_chain_survives_forced_gc(self, mgr):
         names = [f"x{i}" for i in range(DEPTH)]
         chain = _conjunction_chain(mgr, names)
-        before = bdd_to_bytes(chain)
+        before = serialize_bdd(chain)
         # Build and drop a same-depth negation: DEPTH dead nodes.
         negated = ~chain
         del negated
@@ -120,4 +124,4 @@ class TestDeepChains:
         assert summary["compacted"]
         assert summary["reclaimed"] >= DEPTH
         assert chain.node_count() == DEPTH
-        assert bdd_to_bytes(chain) == before
+        assert serialize_bdd(chain) == before

@@ -9,20 +9,25 @@ spawning workers.  The end-to-end equivalence lives in
 """
 
 import pickle
-import time
-from collections import OrderedDict, deque
 
 import pytest
 
+from repro.bdd.serialize import SerializedBDD
+from repro.data.batch import BatchPolicy
+from repro.data.update import insert
 from repro.fault.worker_wal import CommandLog, wal_tail_bytes
+from repro.net.latency import UniformLatencyModel
+from repro.net.message import Message
 from repro.net.simulator import SimulatedNetwork, SimulationError
 from repro.net.transport import Transport
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import CONTROL_PID, KERNEL_PID, Tracer
+from repro.parallel.envelope import StashRef, WorkerInit
 from repro.parallel.scheduler import ProcessCoordinator
+from repro.parallel.worker import WorkerNetwork
 from repro.provenance import canonical_annotation
 from repro.provenance.absorption import AbsorptionProvenanceStore
-from repro.queries import build_executor, reachability_plan
+from repro.queries import build_executor, link, reachability_plan
 from repro.queries.shortest_path import shortest_path_plan
 
 
@@ -190,40 +195,237 @@ def test_simulated_network_satisfies_transport_protocol():
     assert isinstance(network, Transport)
 
 
-# -- coordinator: worker death while another worker's result is in the pipe ----------
+# -- same-worker stash -------------------------------------------------------------
+
+
+def test_same_worker_sends_stay_in_the_stash():
+    store = AbsorptionProvenanceStore()
+    network = WorkerNetwork(node_count=4, store=store, wid=0, workers=2)
+    annotation = store.base_annotation("x") | store.base_annotation("y")
+    first = [insert(link("a", "b"), annotation), insert(link("b", "c"), annotation)]
+    second = [insert(link("c", "d"), annotation)]
+    network.send(0, 2, "view", first, 10, at_time=0.0)  # node 2 is on this worker
+    network.send(0, 1, "view", first, 10, at_time=0.0)  # node 1 is not
+    network.send(2, 2, "view", second, 10, at_time=0.0)
+    local, remote, self_send = network.take_outbox()
+    assert isinstance(remote[3][0].provenance, SerializedBDD)
+    # Placeholders, one per update, cross the pipes and get coalesced.
+    encoded = remote[3][0]
+    wire = pickle.loads(pickle.dumps(local[3] + self_send[3] + (encoded,)))
+    assert [type(ref) for ref in wire] == [StashRef, StashRef, StashRef, type(encoded)]
+    restored = network.unstash(wire)
+    assert restored == first + second + [encoded]
+    assert all(update.provenance is annotation for update in restored[:3])
+    assert not network.stash
+
+
+# -- coordinator scheduling, white-box with fake workers ------------------------------
 
 
 class _FakeProcess:
-    def __init__(self, alive: bool) -> None:
+    def __init__(self, alive: bool = True) -> None:
         self.alive = alive
+        self.pid = None
 
     def is_alive(self) -> bool:
         return self.alive
 
+    def join(self, timeout=None) -> None:
+        self.alive = False
 
-def test_result_parked_by_a_recovery_drain_is_applied_not_waited_for():
-    """Worker 0 dies idle while worker 1's reply to the only in-flight
+
+class _FakeCommandQueue:
+    """Records the commands a worker would have received."""
+
+    def __init__(self) -> None:
+        self.commands = []
+
+    def put(self, command) -> None:
+        self.commands.append(command)
+
+    def close(self) -> None:
+        pass
+
+    def cancel_join_thread(self) -> None:
+        pass
+
+
+#: Remote latency L and per-update processing cost of the fake cluster.
+LATENCY = 0.001
+COST = 0.0001
+
+
+@pytest.fixture()
+def coordinator(monkeypatch):
+    """A 4-node, 2-worker coordinator whose workers never run: tests feed
+    results in by hand.  Node ``n`` lives on worker ``n % 2``."""
+
+    def spawn(self, wid):
+        self._command_queues.append(_FakeCommandQueue())
+        self._result_readers.append(None)  # every poll comes back empty at once
+        self._processes.append(_FakeProcess())
+
+    monkeypatch.setattr(ProcessCoordinator, "_spawn", spawn)
+    init = WorkerInit(
+        wid=-1, workers=2, node_count=4, plan=None, strategy=None,
+        batch_policy=None, partitioner=None,
+    )
+    coordinator = ProcessCoordinator(
+        init,
+        latency_model=UniformLatencyModel(LATENCY),
+        processing_cost=COST,
+        max_wall_seconds=5.0,
+        batch_policy=BatchPolicy(max_batch=64),
+    )
+    coordinator.arm_wall_budget()
+    yield coordinator
+    coordinator.close()
+
+
+def _updates(count=1):
+    return [insert(link(f"a{i}", f"b{i}")) for i in range(count)]
+
+
+def _commands(coordinator, wid):
+    return [c for c in coordinator._command_queues[wid].commands if c[0] == "deliver"]
+
+
+def _result(command, outbox=(), handler_seconds=0.0):
+    return ("result", command[1], command[2] % 2, list(outbox), handler_seconds, 0, 0)
+
+
+def test_fronts_on_different_workers_within_latency_overlap(coordinator):
+    coordinator.inject(0, "edge", _updates(), at_time=0.0)
+    # Arrives after node 0's delivery completes (0.0001), which the old
+    # "start before every in-flight completion" rule would have waited for,
+    # but before that completion plus L: nothing node 0 sends can reach it.
+    coordinator.inject(1, "edge", _updates(), at_time=0.0005)
+    coordinator._dispatch()
+    assert len(_commands(coordinator, 0)) == 1
+    assert len(_commands(coordinator, 1)) == 1
+    assert len(coordinator._pending) == 2
+    # Past the L window the front waits for node 0's result.
+    coordinator.inject(3, "edge", _updates(), at_time=0.0012)
+    coordinator._dispatch()
+    assert len(_commands(coordinator, 1)) == 1
+
+
+def test_same_node_successor_waits_for_its_predecessor(coordinator):
+    coordinator.inject(0, "edge", _updates(), at_time=0.0)
+    coordinator.inject(0, "base", _updates(), at_time=0.00005)
+    coordinator._dispatch()
+    (first,) = _commands(coordinator, 0)
+    assert len(coordinator._pending) == 1
+    coordinator._recv_backlog.append(_result(first))
+    coordinator._apply_next()
+    coordinator._dispatch()
+    second = _commands(coordinator, 0)[1]
+    assert second[3] == "base"
+    # It starts where its predecessor's processing ended.
+    assert second[5] == pytest.approx(first[5] + COST)
+
+
+def test_results_arriving_out_of_order_apply_in_key_order(coordinator):
+    coordinator.inject(0, "edge", _updates(), at_time=0.0)
+    coordinator.inject(1, "edge", _updates(), at_time=0.0005)
+    coordinator._dispatch()
+    (early,) = _commands(coordinator, 0)
+    (late,) = _commands(coordinator, 1)
+    # Worker 1 answers first; each handler sends one message on.
+    coordinator._recv_backlog.append(
+        _result(late, [(1, 3, "view", tuple(_updates()), 10, late[5])], 0.5)
+    )
+    coordinator._recv_backlog.append(
+        _result(early, [(0, 2, "view", tuple(_updates()), 10, early[5])], 0.25)
+    )
+    coordinator._apply_next()
+    assert coordinator.now == early[5]
+    assert coordinator.handler_seconds == 0.25
+    assert late[1] in coordinator._results  # parked, not applied
+    coordinator._apply_next()
+    assert coordinator.now == late[5]
+    sent = sorted(
+        (seq, message.src) for _, seq, message in coordinator._queue if message.port == "view"
+    )
+    assert [src for _, src in sent] == [0, 1]  # sequence numbers in serial order
+
+
+def test_drain_stops_at_the_key_of_a_later_dispatched_delivery(coordinator):
+    coordinator._node_busy_until[0] = 0.001
+    coordinator.inject(1, "edge", _updates(), at_time=0.0005)
+    coordinator._dispatch()
+    assert len(coordinator._pending) == 1
+    # Both arrive after node 1's delivery was dispatched; the first sorts
+    # before it, the second after it (same arrival, later sequence number).
+    coordinator.inject(0, "view", _updates(2), at_time=0.0002)
+    coordinator.inject(0, "view", _updates(3), at_time=0.0005)
+    coordinator._dispatch()
+    (delivery,) = _commands(coordinator, 0)
+    # Node 0 is busy until 0.001, so both would coalesce — but in serial
+    # order node 1's delivery sits between them.
+    assert len(delivery[4]) == 2
+    assert coordinator.pending_events() == 1
+
+
+def test_front_waits_when_its_drain_would_absorb_past_the_earliest_completion(coordinator):
+    coordinator.inject(0, "edge", _updates(), at_time=0.0)
+    coordinator._node_busy_until[2] = 0.0005
+    coordinator.inject(2, "view", _updates(), at_time=0.00005)
+    # Arrives after node 0's delivery completes (0.0001): something node 0
+    # sends to itself could still sort in front of it and cut the drain.
+    coordinator.inject(2, "view", _updates(), at_time=0.0002)
+    coordinator._dispatch()
+    assert len(coordinator._pending) == 1
+    assert coordinator.pending_events() == 2  # nothing popped, nothing lost
+    (first,) = _commands(coordinator, 0)
+    coordinator._recv_backlog.append(_result(first))
+    coordinator._apply_next()
+    coordinator._dispatch()
+    merged = _commands(coordinator, 0)[1]
+    assert merged[2] == 2 and len(merged[4]) == 2
+
+
+def test_ghost_is_popped_only_when_serially_next(coordinator):
+    coordinator.inject(0, "edge", _updates(), at_time=0.0)
+    coordinator._dispatch()
+    (first,) = _commands(coordinator, 0)
+    duplicate = Message(src=1, dst=3, port="view", updates=(), size_bytes=0, sent_at=0.0)
+    coordinator._enqueue_ghost(duplicate, 0.00005)
+    coordinator._dispatch()
+    assert coordinator.pending_events() == 1  # node 0's result comes first
+    coordinator._recv_backlog.append(_result(first))
+    coordinator._apply_next()
+    coordinator._dispatch()
+    assert coordinator.pending_events() == 0
+    assert coordinator.events_processed == 1  # a ghost is never an event
+
+
+def test_dispatch_behind_a_later_keyed_delivery_to_the_same_node_raises(coordinator):
+    coordinator.inject(0, "edge", _updates(), at_time=0.0005)
+    coordinator._dispatch()
+    coordinator.inject(0, "base", _updates(), at_time=0.0002)
+    with pytest.raises(SimulationError, match="later delivery"):
+        coordinator._dispatch()
+
+
+def test_result_parked_by_a_recovery_drain_is_applied_not_waited_for(coordinator):
+    """Worker 0 dies idle while worker 1's reply to the only unapplied
     delivery sits unread in its pipe.  The recovery drain parks that reply in
     ``_results`` and nothing else will ever arrive, so the wait must look at
     the parked results again — it used to poll two idle workers forever."""
-    coordinator = ProcessCoordinator.__new__(ProcessCoordinator)
-    SimulatedNetwork.__init__(coordinator, node_count=2, max_wall_seconds=5.0)
-    coordinator._wall_deadline = time.monotonic() + 5.0
-    coordinator._result_readers = []  # every poll comes back empty at once
-    coordinator._recv_backlog = deque()
-    coordinator._results = {}
-    coordinator._pending_kills = []
-    coordinator._inflight = OrderedDict({7: (1, ("deliver", 7), 1.0)})
-    coordinator._min_inflight = 1.0
-    coordinator._processes = [_FakeProcess(alive=False), _FakeProcess(alive=True)]
+    coordinator.inject(1, "edge", _updates(), at_time=0.0)
+    coordinator._dispatch()
+    (command,) = _commands(coordinator, 1)
+    coordinator._processes[0].alive = False
 
     def recover(wid):
         coordinator._processes[wid].alive = True
-        coordinator._results[7] = ("result", 7, 1, [], 0.25, 0, 0)
+        coordinator._results[command[1]] = _result(command, handler_seconds=0.25)
 
     coordinator._recover_worker = recover
-    coordinator._apply_oldest()
-    assert not coordinator._inflight
+    coordinator._apply_next()
+    assert not coordinator._pending
+    assert not coordinator._deliveries
     assert coordinator.handler_seconds == 0.25
 
 

@@ -8,11 +8,11 @@ correct baseline.
 """
 
 from benchmarks.conftest import report_figure, run_once
-from repro.harness import run_ablation_centralized_maintenance
+from repro.harness import run
 
 
 def test_ablation_centralized_maintenance(benchmark, experiment_config):
-    rows = run_once(benchmark, run_ablation_centralized_maintenance, experiment_config)
+    rows = run_once(benchmark, run, "ablation-centralized", experiment_config)
     report_figure(rows, title="Ablation: distributed incremental maintenance vs centralized recompute")
     assert len(rows) == 2
     views = {row["view_size"] for row in rows}

@@ -6,11 +6,11 @@ remote provenance); larger windows approach lazy propagation.
 """
 
 from benchmarks.conftest import report_figure, run_once
-from repro.harness import run_ablation_minship_batch
+from repro.harness import run
 
 
 def test_ablation_minship_batch_size(benchmark, experiment_config):
-    rows = run_once(benchmark, run_ablation_minship_batch, experiment_config)
+    rows = run_once(benchmark, run, "ablation-minship", experiment_config)
     report_figure(rows, title="Ablation: MinShip batch size (eager propagation)")
     converged = [r for r in rows if r["converged"]]
     assert len(converged) >= 2

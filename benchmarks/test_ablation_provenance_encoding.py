@@ -8,11 +8,11 @@ representations of the *same* provenance.
 """
 
 from benchmarks.conftest import report_figure, run_once
-from repro.harness import run_ablation_provenance_encoding
+from repro.harness import run
 
 
 def test_ablation_provenance_encoding(benchmark, experiment_config):
-    rows = run_once(benchmark, run_ablation_provenance_encoding, experiment_config)
+    rows = run_once(benchmark, run, "ablation-encoding", experiment_config)
     report_figure(rows, title="Ablation: absorption provenance encoding (BDD vs sum-of-products)")
     assert len(rows) == 2
     by_encoding = {row["encoding"]: row for row in rows}

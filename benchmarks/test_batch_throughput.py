@@ -16,11 +16,11 @@ messages, lower wall time — are unchanged and still asserted.)
 """
 
 from benchmarks.conftest import report_figure, run_once
-from repro.harness import run_batch_throughput
+from repro.harness import run
 
 
 def test_batch_throughput_reductions(benchmark, experiment_config):
-    rows = run_once(benchmark, run_batch_throughput, experiment_config)
+    rows = run_once(benchmark, run, "batch-throughput", experiment_config)
     report_figure(rows, title="Batch throughput: batched vs tuple-at-a-time pipeline")
     assert rows
 

@@ -9,11 +9,11 @@ annotations) must equal the fault-free reference bit-for-bit.
 """
 
 from benchmarks.conftest import report_figure, run_once
-from repro.harness import run_chaos
+from repro.harness import run
 
 
 def test_chaos_parity_gate(benchmark, experiment_config):
-    rows = run_once(benchmark, run_chaos, experiment_config)
+    rows = run_once(benchmark, run, "chaos", experiment_config)
     report_figure(
         rows, title="Chaos plane: seeded fault injection vs fault-free parity"
     )

@@ -11,11 +11,11 @@ and bytes shipped relative to the failure-free run.
 """
 
 from benchmarks.conftest import report_figure, run_once
-from repro.harness import run_churn_recovery
+from repro.harness import run
 
 
 def test_churn_recovery_policies(benchmark, experiment_config):
-    rows = run_once(benchmark, run_churn_recovery, experiment_config)
+    rows = run_once(benchmark, run, "churn", experiment_config)
     report_figure(rows, title="Churn: crash mid-insertion-stream, per recovery policy")
     assert rows, "the experiment produced no rows"
     by_policy = {row["policy"]: row for row in rows}

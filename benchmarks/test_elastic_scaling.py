@@ -11,11 +11,11 @@ misrouted-batch counts.
 """
 
 from benchmarks.conftest import report_figure, run_once
-from repro.harness import run_elastic_scaling
+from repro.harness import run
 
 
 def test_elastic_scale_out_and_in(benchmark, experiment_config):
-    rows = run_once(benchmark, run_elastic_scaling, experiment_config)
+    rows = run_once(benchmark, run, "elastic", experiment_config)
     report_figure(rows, title="Elastic: N -> 2N -> N processors mid-stream")
     assert rows, "the experiment produced no rows"
     by_phase = {row["phase"]: row for row in rows if "phase" in row}

@@ -8,11 +8,11 @@ Absorption Lazy is the cheapest provenance scheme, Relative Eager blows up.
 """
 
 from benchmarks.conftest import report_figure, run_once
-from repro.harness import run_figure7
+from repro.harness import run
 
 
 def test_figure7_reachable_insertions(benchmark, experiment_config):
-    rows = run_once(benchmark, run_figure7, experiment_config)
+    rows = run_once(benchmark, run, "figure7", experiment_config)
     report_figure(rows, title="Figure 7: reachable query computation as insertions are performed")
     assert rows, "the experiment produced no rows"
     schemes = {row["scheme"] for row in rows}

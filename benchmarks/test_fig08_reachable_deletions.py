@@ -8,11 +8,11 @@ relative provenance sits in between with larger annotations.
 """
 
 from benchmarks.conftest import report_figure, run_once
-from repro.harness import run_figure8
+from repro.harness import run
 
 
 def test_figure8_reachable_deletions(benchmark, experiment_config):
-    rows = run_once(benchmark, run_figure8, experiment_config)
+    rows = run_once(benchmark, run, "figure8", experiment_config)
     report_figure(rows, title="Figure 8: reachable query computation as deletions are performed")
     assert rows
 

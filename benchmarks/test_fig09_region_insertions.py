@@ -6,11 +6,11 @@ absolute cost (the proximity graph is local, so derivations are shorter).
 """
 
 from benchmarks.conftest import report_figure, run_once
-from repro.harness import run_figure9
+from repro.harness import run
 
 
 def test_figure9_region_insertions(benchmark, experiment_config):
-    rows = run_once(benchmark, run_figure9, experiment_config)
+    rows = run_once(benchmark, run, "figure9", experiment_config)
     report_figure(rows, title="Figure 9: region query computation as insertions are performed")
     assert rows
 

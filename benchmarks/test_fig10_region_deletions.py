@@ -7,11 +7,11 @@ provenance removes exactly the no-longer-derivable memberships.
 """
 
 from benchmarks.conftest import report_figure, run_once
-from repro.harness import run_figure10
+from repro.harness import run
 
 
 def test_figure10_region_deletions(benchmark, experiment_config):
-    rows = run_once(benchmark, run_figure10, experiment_config)
+    rows = run_once(benchmark, run, "figure10", experiment_config)
     report_figure(rows, title="Figure 10: region query computation as deletions are performed")
     assert rows
 

@@ -8,11 +8,11 @@ larger dense networks.
 """
 
 from benchmarks.conftest import report_figure, run_once
-from repro.harness import run_figure11
+from repro.harness import run
 
 
 def test_figure11_scaling_links_insertions(benchmark, experiment_config):
-    rows = run_once(benchmark, run_figure11, experiment_config)
+    rows = run_once(benchmark, run, "figure11", experiment_config)
     report_figure(rows, title="Figure 11: increasing the number of links, insertion workload")
     assert rows
 

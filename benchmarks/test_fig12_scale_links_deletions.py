@@ -7,11 +7,11 @@ of eager propagation.
 """
 
 from benchmarks.conftest import report_figure, run_once
-from repro.harness import run_figure12
+from repro.harness import run
 
 
 def test_figure12_scaling_links_deletions(benchmark, experiment_config):
-    rows = run_once(benchmark, run_figure12, experiment_config)
+    rows = run_once(benchmark, run, "figure12", experiment_config)
     report_figure(rows, title="Figure 12: increasing the number of links, deletion workload")
     assert rows
     lazy_dense = [

@@ -19,7 +19,7 @@ import time
 import pytest
 
 from benchmarks.conftest import report_figure, run_once
-from repro.harness import run_figure13
+from repro.harness import run
 from repro.queries import build_executor, reachability_plan
 from repro.workloads.topology import TransitStubConfig, generate_topology
 from repro.workloads.updates import deletion_sample
@@ -31,7 +31,7 @@ _SCALEOUT_DELETION_RATIO = 0.6
 
 
 def test_figure13_scaling_processors(benchmark, experiment_config):
-    rows = run_once(benchmark, run_figure13, experiment_config)
+    rows = run_once(benchmark, run, "figure13", experiment_config)
     report_figure(rows, title="Figure 13: varying the number of physical query processing nodes")
     assert rows
     lazy = [r for r in rows if r["scheme"] == "Absorption Lazy" and r["converged"]]

@@ -9,11 +9,11 @@ cheaper than pruning on one.
 """
 
 from benchmarks.conftest import report_figure, run_once
-from repro.harness import run_figure14
+from repro.harness import run
 
 
 def test_figure14_aggregate_selection(benchmark, experiment_config):
-    rows = run_once(benchmark, run_figure14, experiment_config)
+    rows = run_once(benchmark, run, "figure14", experiment_config)
     report_figure(rows, title="Figure 14: aggregate selections on shortestPath / cheapestCostPath")
     assert rows
 

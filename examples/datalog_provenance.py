@@ -1,26 +1,17 @@
 """Centralized Datalog with provenance semirings.
 
 The distributed engine builds on classical recursive query processing.  This
-example uses the centralized Datalog substrate directly: it parses the paper's
-reachability program, evaluates it with semi-naive evaluation, computes
-absorption (PosBool) provenance for every derived fact, compares incremental
-maintenance strategies (counting vs DRed vs provenance), and evaluates the
-region query's aggregates.
+example uses the centralized Datalog evaluator directly: it parses the
+paper's reachability program, evaluates it with semi-naive evaluation, and
+computes absorption (PosBool) provenance for every derived fact — the
+annotations the tests hold the distributed engine to.
 
 Run with::
 
     python examples/datalog_provenance.py
 """
 
-from repro.datalog import (
-    AggregateView,
-    DRedMaintenance,
-    ProvenanceMaintenance,
-    SemiNaiveEvaluator,
-    parse_program,
-)
-from repro.datalog.aggregates import AggregateKind
-from repro.datalog.incremental import CountingMaintenance, MaintenanceError
+from repro.datalog import SemiNaiveEvaluator, parse_program
 from repro.provenance.semiring import BooleanSemiring
 
 
@@ -53,48 +44,6 @@ def main() -> None:
     annotations = evaluator.evaluate_with_provenance(EDB, BooleanSemiring)
     for fact in sorted(annotations["reachable"]):
         print(f"  reachable{fact}: {annotations['reachable'][fact]!r}")
-
-    banner("3. Incremental maintenance: counting vs DRed vs provenance")
-    try:
-        CountingMaintenance(program)
-    except MaintenanceError as error:
-        print(f"Counting refuses the recursive program: {error}")
-
-    dred = DRedMaintenance(program)
-    provenance = ProvenanceMaintenance(program)
-    for fact in EDB["link"]:
-        dred.insert("link", fact)
-        provenance.insert("link", fact)
-    print("Deleting link(c, b) ...")
-    dred.delete("link", ("c", "b"))
-    provenance.delete("link", ("c", "b"))
-    print(f"  DRed over-deleted {dred.last_overdeleted} facts and re-derived "
-          f"{dred.last_rederived} of them.")
-    print(f"  Provenance maintenance simply restricted the annotations; "
-          f"reachable still has {len(provenance.facts('reachable'))} facts "
-          f"(same as DRed: {len(dred.facts('reachable'))}).")
-    print("  Provenance of reachable(c, b) is now:",
-          provenance.provenance_of("reachable", ("c", "b")))
-
-    banner("4. Aggregates over the region query")
-    region_program = parse_program(
-        """
-        activeRegion(r, x) :- seed(r, x).
-        activeRegion(r, y) :- proximity(x, y), activeRegion(r, x).
-        """
-    )
-    region_edb = {
-        "seed": {("r1", "s1"), ("r2", "s9")},
-        "proximity": {("s1", "s2"), ("s2", "s3"), ("s9", "s8")},
-    }
-    region_db = SemiNaiveEvaluator(region_program).evaluate(region_edb)
-    sizes = AggregateView("regionSizes", "activeRegion", (0,), AggregateKind.COUNT)
-    largest = AggregateView("largestRegion", "regionSizes", (), AggregateKind.MAX, value_position=1)
-    sizes.evaluate_into(region_db)
-    largest.evaluate_into(region_db)
-    print("activeRegion:", sorted(region_db["activeRegion"]))
-    print("regionSizes:", sorted(region_db["regionSizes"]))
-    print("largestRegion:", sorted(region_db["largestRegion"]))
 
 
 if __name__ == "__main__":

@@ -1092,10 +1092,6 @@ class BDDManager:
         """
         self._root_sources.append(provider)
 
-    def remove_root_source(self, provider) -> None:
-        """Withdraw a provider previously passed to :meth:`add_root_source`."""
-        self._root_sources.remove(provider)
-
     @contextmanager
     def defer_gc(self):
         """Context manager: suspend automatic collection within the block.

@@ -74,10 +74,6 @@ class NodeTable:
         """Return the ``var = 1`` cofactor of ``node``."""
         return self._high[node]
 
-    def is_terminal(self, node: int) -> bool:
-        """Return True for the FALSE/TRUE terminals."""
-        return node <= TRUE
-
     def make(self, var: int, low: int, high: int) -> int:
         """Return the canonical node id for ``(var, low, high)``.
 

@@ -35,12 +35,13 @@ gate does not).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from repro.chaos.executor import ChaosExecutor, chaos_executor
 from repro.chaos.interposer import ChaosInterposer
 from repro.chaos.plan import ChaosPlan, ScalingStormSpec
 from repro.chaos.supervisor import RetryPolicy
+from repro.data.batch import BatchPolicy
 from repro.engine.strategy import ShipMode
 from repro.fault.recovery import RecoveryPolicy
 from repro.queries.builder import build_executor
@@ -147,6 +148,7 @@ def run_reference(
     workload: ChaosWorkload,
     node_count: int = 12,
     max_events: int = 5_000_000,
+    batch_policy: Optional[BatchPolicy] = None,
 ):
     """The fault-free baseline: ``(view, annotations, horizon, phases)``.
 
@@ -157,7 +159,7 @@ def run_reference(
     executor = build_executor(
         query_plan, strategy, node_count=node_count,
         max_events=max_events, max_wall_seconds=PHASE_WALL_SECONDS,
-        experiment="chaos-reference",
+        experiment="chaos-reference", batch_policy=batch_policy,
     )
     phases = apply_workload(executor, workload)
     return (
@@ -265,10 +267,12 @@ def verify_sim_parity(
     node_count: int = 12,
     supervisor_policy: Optional[RetryPolicy] = None,
     max_events: int = 5_000_000,
+    batch_policy: Optional[BatchPolicy] = None,
 ) -> ParityReport:
     """Chaos on the in-process simulator vs the fault-free reference."""
     reference_view, reference_annotations, horizon, phases = run_reference(
-        query_plan, strategy, workload, node_count=node_count, max_events=max_events
+        query_plan, strategy, workload, node_count=node_count, max_events=max_events,
+        batch_policy=batch_policy,
     )
     executor = chaos_executor(
         query_plan,
@@ -279,6 +283,7 @@ def verify_sim_parity(
         node_count=node_count,
         max_events=max_events,
         max_wall_seconds=PHASE_WALL_SECONDS,
+        batch_policy=batch_policy,
     )
     schedule_chaos(executor, chaos_plan, horizon)
     apply_workload(executor, workload)
@@ -305,6 +310,7 @@ def verify_process_parity(
     workers: int = 3,
     supervisor_policy: Optional[RetryPolicy] = None,
     max_events: int = 5_000_000,
+    batch_policy: Optional[BatchPolicy] = None,
 ) -> ParityReport:
     """Chaos on the process backend (real SIGKILLs) vs the same sim reference.
 
@@ -314,7 +320,8 @@ def verify_process_parity(
     from their command WALs.
     """
     reference_view, reference_annotations, horizon, phases = run_reference(
-        query_plan, strategy, workload, node_count=node_count, max_events=max_events
+        query_plan, strategy, workload, node_count=node_count, max_events=max_events,
+        batch_policy=batch_policy,
     )
     executor = build_executor(
         query_plan,
@@ -326,6 +333,7 @@ def verify_process_parity(
         backend="process",
         workers=workers,
         wal_dir=wal_dir,
+        batch_policy=batch_policy,
     )
     interposer = None
     try:
@@ -364,21 +372,3 @@ def assert_parity(report: ParityReport) -> ParityReport:
     if not report.passed:
         raise ParityError(report)
     return report
-
-
-def parity_sweep(
-    query_plan,
-    strategies: Sequence[str],
-    chaos_plan: ChaosPlan,
-    workload: ChaosWorkload,
-    node_count: int = 12,
-    max_events: int = 5_000_000,
-) -> List[ParityReport]:
-    """One sim parity report per strategy (the benchmark/CI sweep body)."""
-    return [
-        verify_sim_parity(
-            query_plan, strategy, chaos_plan, workload,
-            node_count=node_count, max_events=max_events,
-        )
-        for strategy in strategies
-    ]

@@ -204,10 +204,6 @@ class ChaosPlan:
             self.recovery, TAG_RECOVERY_GATE, TAG_RECOVERY_COUNT, node
         )
 
-    def recovery_attempt_fails(self, node: int, attempt: int) -> bool:
-        """Whether recovery ``attempt`` (1-based) for ``node`` is injected to fail."""
-        return attempt <= self.forced_recovery_failures(node)
-
     def forced_respawn_failures(self, wid: int) -> int:
         """How many leading respawn attempts for worker ``wid`` are doomed."""
         return self._forced_failures(

@@ -1,4 +1,4 @@
-"""Data model: tuples, update streams, relations and soft-state windows.
+"""Data model: tuples, updates, batches and relations.
 
 The execution model of the paper (Section 3.1) is a distributed, continuous
 computation over horizontally partitioned *set* relations updated by streams
@@ -11,21 +11,15 @@ of insertions and deletions.  This package provides:
 * :class:`~repro.data.relation.Relation` and
   :class:`~repro.data.relation.PartitionedRelation` — set-semantics relations,
   optionally horizontally partitioned by a key attribute;
-* :class:`~repro.data.stream.UpdateStream` — ordered update streams with
-  replay support;
 * :class:`~repro.data.batch.UpdateBatch` and
   :class:`~repro.data.batch.BatchPolicy` — batches of updates as the
-  pipeline's first-class delta unit, plus the batching knobs;
-* :class:`~repro.data.window.SlidingWindow` — time-based soft-state expiry of
-  base tuples (Section 3.1 / 4.3.3).
+  pipeline's first-class delta unit, plus the batching knobs.
 """
 
 from repro.data.batch import BatchPolicy, UpdateBatch, group_by_tuple, split_runs
 from repro.data.tuples import Schema, Tuple
 from repro.data.update import Update, UpdateType
 from repro.data.relation import PartitionedRelation, Relation
-from repro.data.stream import UpdateStream
-from repro.data.window import SlidingWindow, WindowExpiration
 
 __all__ = [
     "BatchPolicy",
@@ -38,7 +32,4 @@ __all__ = [
     "UpdateType",
     "Relation",
     "PartitionedRelation",
-    "UpdateStream",
-    "SlidingWindow",
-    "WindowExpiration",
 ]

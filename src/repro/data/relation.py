@@ -124,10 +124,6 @@ class PartitionedRelation:
         """Node id responsible for ``tuple_``."""
         return self._placement(tuple_)
 
-    def node_for_value(self, value: Any) -> int:
-        """Node id responsible for a raw partition-attribute value."""
-        return stable_hash(value) % self.node_count
-
     # -- mutation ---------------------------------------------------------------
     def add(self, tuple_: Tuple) -> bool:
         """Insert a tuple into its home partition; True if new."""

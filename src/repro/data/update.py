@@ -103,10 +103,6 @@ class Update:
         """
         return Update(self.type, self.tuple, provenance, self.timestamp, self.origin_node)
 
-    def with_type(self, update_type: UpdateType) -> "Update":
-        """Copy of the update with a different type (INS <-> DEL)."""
-        return Update(update_type, self.tuple, self.provenance, self.timestamp, self.origin_node)
-
     def with_timestamp(self, timestamp: float) -> "Update":
         """Copy of the update stamped at ``timestamp``."""
         return Update(self.type, self.tuple, self.provenance, timestamp, self.origin_node)

@@ -1,22 +1,17 @@
-"""A centralized Datalog substrate.
+"""A centralized Datalog evaluator: the annotation oracle.
 
 The paper expresses its views in Datalog (and SQL-99 recursion) and builds on
-classical recursive query processing: semi-naive evaluation, stratification,
-counting-based maintenance and DRed.  This package provides that substrate in
-one process, independent of the distributed engine:
+classical recursive query processing.  This package evaluates such programs
+in one process, independent of the distributed engine, so tests can
+recompute a view's annotations from scratch and compare them with what the
+engine maintained incrementally:
 
 * :mod:`repro.datalog.ast` — terms, atoms, rules, comparison conditions;
 * :mod:`repro.datalog.parser` — a parser for the paper's Datalog syntax;
 * :mod:`repro.datalog.program` — programs, EDB/IDB classification;
 * :mod:`repro.datalog.stratify` — dependency graph and stratification;
 * :mod:`repro.datalog.seminaive` — naive and semi-naive evaluation, optionally
-  under a provenance semiring (PosBool gives absorption provenance);
-* :mod:`repro.datalog.incremental` — incremental maintenance of the
-  materialised IDB: counting (non-recursive), DRed, and provenance-based;
-* :mod:`repro.datalog.aggregates` — grouped aggregate views over IDB facts.
-
-It is used by the examples, by tests as an independent oracle for the
-distributed engine, and by the centralized-maintenance ablation.
+  under a provenance semiring (PosBool gives absorption provenance).
 """
 
 from repro.datalog.ast import Atom, Condition, Constant, Rule, Term, Variable
@@ -24,12 +19,6 @@ from repro.datalog.parser import DatalogSyntaxError, parse_program, parse_rule
 from repro.datalog.program import Program
 from repro.datalog.seminaive import SemiNaiveEvaluator
 from repro.datalog.stratify import StratificationError, stratify
-from repro.datalog.incremental import (
-    CountingMaintenance,
-    DRedMaintenance,
-    ProvenanceMaintenance,
-)
-from repro.datalog.aggregates import AggregateView
 
 __all__ = [
     "Term",
@@ -45,8 +34,4 @@ __all__ = [
     "stratify",
     "StratificationError",
     "SemiNaiveEvaluator",
-    "CountingMaintenance",
-    "DRedMaintenance",
-    "ProvenanceMaintenance",
-    "AggregateView",
 ]

@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Set, Tuple
 
-from repro.datalog.ast import Atom, Rule
+from repro.datalog.ast import Rule
 
 #: A database maps predicate names to sets of fact value-tuples.
 Database = Dict[str, Set[Tuple]]
@@ -35,14 +35,6 @@ class Program:
     def predicates(self) -> FrozenSet[str]:
         """Every predicate mentioned anywhere in the program."""
         return self.idb_predicates | self.edb_predicates
-
-    def rules_for(self, predicate: str) -> List[Rule]:
-        """Rules whose head is ``predicate``."""
-        return [rule for rule in self.rules if rule.head.predicate == predicate]
-
-    def rules_using(self, predicate: str) -> List[Rule]:
-        """Rules whose body references ``predicate``."""
-        return [rule for rule in self.rules if predicate in rule.body_predicates()]
 
     def is_recursive(self) -> bool:
         """True when some predicate (transitively) depends on itself."""

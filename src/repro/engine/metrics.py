@@ -6,14 +6,13 @@
 * convergence / execution time (seconds)
 
 A :class:`PhaseMetrics` covers one workload phase (insert-only, or a deletion
-batch); :class:`ExperimentMetrics` aggregates a whole experiment run and knows
-how to format the paper-style report rows the benchmark harness prints.
+batch); :class:`ExperimentMetrics` aggregates a whole experiment run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 
 @dataclass
@@ -54,23 +53,6 @@ class KernelPhaseStats:
     routing_cache_hits: int = 0
     routing_bounce_passes: int = 0
 
-    def as_row(self) -> Dict[str, object]:
-        """Flat ``kernel_*`` columns used by report formatting."""
-        return {
-            "kernel_table_size": self.table_size,
-            "kernel_peak_table": self.peak_table_size,
-            "kernel_reclaimed": self.nodes_reclaimed,
-            "kernel_gc_passes": self.gc_passes,
-            "kernel_gc_pause_s": round(self.gc_pause_s, 6),
-            "kernel_time_s": round(self.kernel_time_s, 6),
-            "routing_time_s": round(self.routing_time_s, 6),
-            "operator_time_s": round(self.operator_time_s, 6),
-            "net_time_s": round(self.net_time_s, 6),
-            "routing_bulk_lookups": self.routing_bulk_lookups,
-            "routing_cache_hits": self.routing_cache_hits,
-            "routing_bounce_passes": self.routing_bounce_passes,
-        }
-
 
 @dataclass
 class PhaseMetrics:
@@ -90,25 +72,6 @@ class PhaseMetrics:
     #: Annotation-kernel telemetry (None for strategies without one).
     kernel: Optional[KernelPhaseStats] = None
 
-    def as_row(self) -> Dict[str, float]:
-        """Flat dictionary used by report formatting."""
-        row = {
-            "per_tuple_provenance_B": round(self.per_tuple_provenance_bytes, 2),
-            "communication_MB": round(self.communication_mb, 6),
-            "state_MB": round(self.state_mb, 6),
-            "convergence_time_s": round(self.convergence_time_s, 6),
-            "messages": self.messages,
-            "updates_shipped": self.updates_shipped,
-            "view_size": self.view_size,
-        }
-        # Unconditional: a truthiness test here used to drop the column for
-        # phases that completed in under clock resolution (wall_seconds 0.0),
-        # which made CSV columns ragged across rows.
-        row["wall_seconds"] = round(self.wall_seconds, 6)
-        if self.kernel is not None:
-            row.update(self.kernel.as_row())
-        return row
-
 
 @dataclass
 class ExperimentMetrics:
@@ -116,7 +79,6 @@ class ExperimentMetrics:
 
     experiment: str
     scheme: str
-    parameters: Dict[str, object] = field(default_factory=dict)
     phases: List[PhaseMetrics] = field(default_factory=list)
 
     def add_phase(self, phase: PhaseMetrics) -> None:
@@ -154,17 +116,3 @@ class ExperimentMetrics:
         total_bytes = sum(p.per_tuple_provenance_bytes * p.updates_shipped for p in relevant)
         total_updates = sum(p.updates_shipped for p in relevant)
         return total_bytes / total_updates if total_updates else 0.0
-
-    def summary_row(self) -> Dict[str, object]:
-        """One flat row summarising the run (used by the per-figure harness)."""
-        row: Dict[str, object] = {"experiment": self.experiment, "scheme": self.scheme}
-        row.update(self.parameters)
-        row.update(
-            {
-                "per_tuple_provenance_B": round(self.mean_per_tuple_provenance_bytes, 2),
-                "communication_MB": round(self.total_communication_mb, 6),
-                "state_MB": round(self.final_state_mb, 6),
-                "convergence_time_s": round(self.total_convergence_time_s, 6),
-            }
-        )
-        return row

@@ -18,8 +18,8 @@ recursive combiner and any aggregate selections.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Tuple as PyTuple
+from dataclasses import dataclass
+from typing import Callable, Optional, Tuple as PyTuple
 
 from repro.data.tuples import Schema, Tuple
 from repro.operators.aggsel import AggregateSpec
@@ -56,8 +56,6 @@ class RecursiveViewPlan:
     combine: RecursiveStep
     #: Aggregate selections to push into Fixpoint / MinShip (Section 6).
     aggregate_specs: PyTuple[AggregateSpec, ...] = ()
-    #: Optional soft-state window (seconds) on the edge relation.
-    edge_window: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.edge_join_attribute not in self.edge_schema.attributes:
@@ -96,17 +94,3 @@ class RecursiveViewPlan:
         if self.make_base is None:
             return None
         return self.make_base(edge)
-
-    def with_aggregate_specs(self, specs: Sequence[AggregateSpec]) -> "RecursiveViewPlan":
-        """Copy of the plan with different aggregate selections (ablations)."""
-        return RecursiveViewPlan(
-            name=self.name,
-            edge_schema=self.edge_schema,
-            result_schema=self.result_schema,
-            edge_join_attribute=self.edge_join_attribute,
-            result_join_attribute=self.result_join_attribute,
-            make_base=self.make_base,
-            combine=self.combine,
-            aggregate_specs=tuple(specs),
-            edge_window=self.edge_window,
-        )

@@ -2,10 +2,10 @@
 
 Every processor node hosts:
 
-* a **DistributedScan** routing locally arriving base-relation updates
-  (port ``base``) into the plan: the base case goes to the Fixpoint of the
-  node owning the new view tuple, and a copy of the edge tuple goes to the
-  node owning the join key;
+* a **base scan** (``_handle_base_batch``) routing locally arriving
+  base-relation updates (port ``base``) into the plan: the base case goes to
+  the Fixpoint of the node owning the new view tuple, and a copy of the edge
+  tuple goes to the node owning the join key;
 * a **PipelinedHashJoin** between edge tuples shipped to this node
   (port ``edge``) and the view partition this node owns;
 * a **MinShip** (or plain Ship, for DRed) buffering the join's output before
@@ -41,7 +41,6 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence
 from repro.data.batch import BatchPolicy, UpdateBatch, split_runs
 from repro.data.tuples import Tuple
 from repro.data.update import Update, UpdateType
-from repro.data.window import SlidingWindow
 from repro.engine.plan import RecursiveViewPlan
 from repro.engine.routing import (  # noqa: F401  (PORT_* re-exported for compat)
     PORT_BASE,
@@ -111,14 +110,12 @@ class ProcessorNode:
             PORT_PURGE: self._handle_purge_batch,
         }
 
-        edge_window = SlidingWindow(plan.edge_window) if plan.edge_window else None
         self.join = PipelinedHashJoin(
             name=f"join@{node_id}",
             store=store,
             left_key=lambda edge: edge[plan.edge_join_attribute],
             right_key=lambda view: view[plan.result_join_attribute],
             combine=plan.combine,
-            left_window=edge_window,
         )
         fixpoint_aggsel = (
             AggregateSelection(store, plan.aggregate_specs) if plan.has_aggregate_selection else None
@@ -254,10 +251,6 @@ class ProcessorNode:
             tracer.end(span)
             tracer.kernel_slice(node_id, kernel_clock() - kernel_start, sim_ts=now)
 
-    def _routing_key(self, port: str, update: Update) -> object:
-        """The partition-key value that decides which node owns ``update`` on ``port``."""
-        return self.router.key_function[port](update.tuple)
-
     def _admit_batch(
         self, port: str, updates: Sequence[Update], now: float
     ) -> Sequence[Update]:
@@ -345,7 +338,7 @@ class ProcessorNode:
 
     # -- base relation (edge) updates -------------------------------------------------
     def _handle_base_batch(self, updates: Sequence[Update], now: float) -> None:
-        """A base edge delta batch arriving at its owner node (the DistributedScan).
+        """A base edge delta batch arriving at its owner node (Figure 4's table scan).
 
         Insertion runs are annotated and routed with one message per
         destination port; deletion runs turn into one coalesced purge
@@ -485,7 +478,13 @@ class ProcessorNode:
         return restrict_update
 
     def _filter_stale_batch(self, updates: Sequence[Update]) -> List[Update]:
-        """One tombstone-restriction pass over a whole delivered batch."""
+        """Drop deleted base variables from a delivered batch's insertion annotations.
+
+        A message sent before its sender processed a purge can still mention
+        deleted base tuples; re-restricting on arrival keeps the maintained
+        provenance equivalent to what a fully synchronised system would hold.
+        Updates with nothing derivable left in their annotation are dropped.
+        """
         if not self._deleted_base_keys or not self.strategy.uses_provenance:
             return list(updates)
         restrict_update = self._batch_restrictor()
@@ -496,28 +495,6 @@ class ProcessorNode:
             if admitted is not None:
                 append(admitted)
         return filtered
-
-    def _filter_stale(self, update: Update) -> Optional[Update]:
-        """Drop deleted base variables from in-flight insertion annotations.
-
-        A message sent before its sender processed a purge can still mention
-        deleted base tuples; re-restricting on arrival keeps the maintained
-        provenance equivalent to what a fully synchronised system would hold.
-        Returns None when nothing derivable remains in the annotation.
-        """
-        if (
-            not self._deleted_base_keys
-            or not update.is_insert
-            or update.provenance is None
-            or not self.strategy.uses_provenance
-        ):
-            return update
-        restricted = self.store.remove_base(update.provenance, self._deleted_base_keys)
-        if self.store.is_zero(restricted):
-            return None
-        if self.store.equals(restricted, update.provenance):
-            return update
-        return update.with_provenance(restricted)
 
     # -- broadcast deletions ----------------------------------------------------------------------
     def _broadcast_purge_batch(self, deletions: Sequence[Update], now: float) -> None:

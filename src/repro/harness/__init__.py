@@ -1,51 +1,25 @@
-"""Experiment harness: one driver per table/figure of the paper's evaluation.
+"""Experiment harness: the paper's evaluation (Section 7) as one table and one runner.
 
 * :mod:`repro.harness.config` — scaled-down default experiment sizes (the
   simulator is pure Python; EXPERIMENTS.md records the scaling);
-* :mod:`repro.harness.experiments` — `run_figure7` ... `run_figure14` plus the
-  ablations, each returning a list of result rows;
+* :mod:`repro.harness.experiments` — :data:`EXPERIMENTS`, one entry per
+  figure, ablation and fault experiment, and :func:`run` (``run("figure7",
+  config)`` returns the figure's result rows);
+* :mod:`repro.harness.runner` — the one runner behind :func:`run`: the table's
+  entry types and the executor constructor that applies every config knob;
 * :mod:`repro.harness.report` — table formatting matching the figures' series.
 """
 
 from repro.harness.config import ExperimentConfig, DEFAULT_CONFIG, QUICK_CONFIG
-from repro.harness.experiments import (
-    run_ablation_centralized_maintenance,
-    run_ablation_minship_batch,
-    run_ablation_provenance_encoding,
-    run_batch_throughput,
-    run_chaos,
-    run_churn_recovery,
-    run_elastic_scaling,
-    run_figure7,
-    run_figure8,
-    run_figure9,
-    run_figure10,
-    run_figure11,
-    run_figure12,
-    run_figure13,
-    run_figure14,
-)
+from repro.harness.experiments import EXPERIMENTS, run
 from repro.harness.report import format_rows, rows_to_csv
 
 __all__ = [
     "ExperimentConfig",
     "DEFAULT_CONFIG",
     "QUICK_CONFIG",
-    "run_figure7",
-    "run_figure8",
-    "run_figure9",
-    "run_figure10",
-    "run_figure11",
-    "run_figure12",
-    "run_figure13",
-    "run_figure14",
-    "run_ablation_minship_batch",
-    "run_ablation_provenance_encoding",
-    "run_ablation_centralized_maintenance",
-    "run_batch_throughput",
-    "run_chaos",
-    "run_churn_recovery",
-    "run_elastic_scaling",
+    "EXPERIMENTS",
+    "run",
     "format_rows",
     "rows_to_csv",
 ]

@@ -15,11 +15,11 @@ import json
 import sys
 from dataclasses import replace
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import re
 
-from repro.harness import experiments
+from repro.harness.experiments import EXPERIMENTS, explain, run
 from repro.harness.config import DEFAULT_CONFIG, PAPER_SCALE_CONFIG, QUICK_CONFIG, ExperimentConfig
 from repro.obs.explain import inject_explain_flows
 from repro.obs.flight import FlightRecorder, maybe_dump_flight
@@ -27,44 +27,6 @@ from repro.harness.report import format_rows, rows_to_csv
 from repro.obs.export import write_metrics_json, write_trace
 from repro.obs.metrics import MetricsLog, install_metrics_log
 from repro.obs.trace import HARNESS_PID, Tracer, install_tracer
-
-#: Mapping from CLI experiment name to (driver, description).
-EXPERIMENTS: Dict[str, tuple] = {
-    "figure7": (experiments.run_figure7, "reachable view, insertion-ratio sweep"),
-    "figure8": (experiments.run_figure8, "reachable view, deletion-ratio sweep"),
-    "figure9": (experiments.run_figure9, "region query, insertion-ratio sweep"),
-    "figure10": (experiments.run_figure10, "region query, deletion-ratio sweep"),
-    "figure11": (experiments.run_figure11, "scaling links, insertions (dense vs sparse)"),
-    "figure12": (experiments.run_figure12, "scaling links, deleting 20% (dense vs sparse)"),
-    "figure13": (experiments.run_figure13, "scaling query-processor nodes"),
-    "figure14": (experiments.run_figure14, "aggregate selections on the path query"),
-    "churn": (
-        experiments.run_churn_recovery,
-        "node crashes mid-stream: recovery-policy comparison",
-    ),
-    "chaos": (
-        experiments.run_chaos,
-        "seeded fault injection (links, storms, kills) gated by parity",
-    ),
-    "batch-throughput": (
-        experiments.run_batch_throughput,
-        "batch-first pipeline vs tuple-at-a-time (BDD ops, purge messages)",
-    ),
-    "elastic": (
-        experiments.run_elastic_scaling,
-        "scale a running cluster N -> 2N -> N mid-stream (moved state, misroutes)",
-    ),
-    "ablation-minship": (experiments.run_ablation_minship_batch, "MinShip batch-size sweep"),
-    "ablation-encoding": (
-        experiments.run_ablation_provenance_encoding,
-        "BDD vs sum-of-products provenance encoding",
-    ),
-    "ablation-centralized": (
-        experiments.run_ablation_centralized_maintenance,
-        "distributed incremental vs centralized recompute",
-    ),
-}
-
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -290,10 +252,16 @@ def _select_config(args: argparse.Namespace) -> ExperimentConfig:
             raise SystemExit("--virtual-nodes must be >= 1")
         overrides["virtual_nodes"] = args.virtual_nodes
     if args.churn_cycles is not None:
+        if args.churn_cycles < 0:
+            raise SystemExit("--churn-cycles must be >= 0")
         overrides["churn_cycles"] = args.churn_cycles
     if args.churn_downtime is not None:
+        if not 0.0 < args.churn_downtime < 1.0:
+            raise SystemExit("--churn-downtime must be a fraction within (0, 1)")
         overrides["churn_downtime"] = args.churn_downtime
     if args.checkpoint_interval is not None:
+        if args.checkpoint_interval < 0:
+            raise SystemExit("--checkpoint-interval must be >= 0 (0 disables checkpoints)")
         overrides["churn_checkpoint_interval"] = args.checkpoint_interval
     if args.chaos_seed is not None:
         overrides["chaos_seed"] = args.chaos_seed
@@ -315,8 +283,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     if args.list or (not args.experiments and args.explain is None):
         print("Available experiments:")
-        for name, (_, description) in EXPERIMENTS.items():
-            print(f"  {name:22s} {description}")
+        for name, entry in EXPERIMENTS.items():
+            print(f"  {name:22s} {entry.description}")
         print("  all                    run every experiment above")
         return 0
     if args.explain_json is not None and args.explain is None:
@@ -361,9 +329,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         try:
             if args.explain is not None:
-                explanation = experiments.run_explain(
-                    config, args.explain, experiment=requested[0]
-                )
+                explanation = explain(config, args.explain, experiment=requested[0])
                 print()
                 print(explanation.render_text())
                 if args.explain_json is not None:
@@ -373,17 +339,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                     print(f"(wrote explanation: {args.explain_json})")
             else:
                 for name in requested:
-                    driver, description = EXPERIMENTS[name]
                     span = None
                     if tracer is not None:
                         span = tracer.begin(HARNESS_PID, f"experiment:{name}", "harness")
                     try:
-                        rows = driver(config)
+                        rows = run(name, config)
                     finally:
                         if span is not None:
                             tracer.end(span)
                     print()
-                    print(format_rows(rows, title=f"{name}: {description}"))
+                    print(format_rows(rows, title=f"{name}: {EXPERIMENTS[name].description}"))
                     if args.csv_dir is not None:
                         target = args.csv_dir / f"{name}.csv"
                         target.write_text(rows_to_csv(rows))

@@ -1,8 +1,12 @@
-"""Per-figure experiment drivers (Section 7 of the paper).
+"""The paper's evaluation (Section 7) as one table: :data:`EXPERIMENTS`.
 
-Each ``run_figureN`` function reproduces one figure: it sweeps the figure's
-x-axis, runs every compared scheme over identical workloads, and returns one
-flat result row per (scheme, x) point carrying the paper's four metrics:
+Every experiment is an :class:`~repro.harness.runner.Experiment`: the plan it
+runs, the schemes it compares, its row shape, and ``points(config)`` — the
+sweep points, each carrying its row parameters, executor options and the
+phases it applies.  :func:`run` hands an entry to the one runner
+(:mod:`repro.harness.runner`), which builds the executors, applies the
+configuration's knobs and turns phases into result rows carrying the paper's
+four metrics:
 
 * ``per_tuple_provenance_B`` — per-tuple provenance overhead (bytes),
 * ``communication_MB`` — communication overhead (MB),
@@ -17,41 +21,45 @@ minutes" data points.
 from __future__ import annotations
 
 import random
-import sys
+import tempfile
 import time
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from functools import partial
+from typing import Callable, Dict, Iterator, List, Sequence
 
 from repro.baselines.centralized import CentralizedRecursiveEvaluator
 from repro.baselines.networkx_ref import reachable_pairs
+from repro.bdd.expr import BoolExpr
+from repro.chaos.executor import chaos_executor
+from repro.chaos.parity import schedule_chaos, verify_process_parity, verify_sim_parity
+from repro.chaos.plan import ChaosPlan
 from repro.data.batch import BatchPolicy
-from repro.engine.executor import DistributedViewExecutor
+from repro.engine.metrics import PhaseMetrics
 from repro.engine.strategy import ExecutionStrategy
 from repro.fault import RecoveryPolicy, fault_tolerant_executor
 from repro.harness.config import DEFAULT_CONFIG, ExperimentConfig
+from repro.harness.runner import (
+    After,
+    Experiment,
+    Phase,
+    Point,
+    Row,
+    batch_policy_for,
+    build_executor_for,
+    run_experiment,
+    strategy_for,
+)
 from repro.net.latency import ClusterLatencyModel
-from repro.obs.trace import HARNESS_PID, current_tracer
-from repro.net.simulator import SimulationBudgetExceeded, SimulationError
-from repro.queries.builder import build_executor
+from repro.net.simulator import SimulationError
+from repro.placement import elastic_executor
 from repro.queries.reachability import reachability_plan
 from repro.queries.regions import region_plan
-from repro.queries.shortest_path import (
-    AGGSEL_MULTI,
-    AGGSEL_NONE,
-    AGGSEL_SINGLE,
-    shortest_path_plan,
-)
-from repro.placement import elastic_executor
+from repro.queries.shortest_path import AGGSEL_MULTI, AGGSEL_NONE, AGGSEL_SINGLE, shortest_path_plan
+from repro.workloads.chaos import generate_chaos_workload
 from repro.workloads.churn import generate_churn
 from repro.workloads.hotspot import generate_hotspot
-from repro.workloads.sensors import SensorField, SensorWorkload
-from repro.workloads.topology import (
-    TransitStubConfig,
-    generate_topology,
-    topology_with_link_budget,
-)
-from repro.workloads.updates import deletion_sample, insertion_prefix
-
-Row = Dict[str, object]
+from repro.workloads.sensors import BaseDelta, SensorField, SensorWorkload
+from repro.workloads.topology import TransitStubConfig, generate_topology, topology_with_link_budget
+from repro.workloads.updates import UpdateSchedule, deletion_sample
 
 #: Scheme sets compared in the paper's figures.
 INSERTION_SCHEMES = (
@@ -70,7 +78,19 @@ DELETION_SCHEMES = ("DRed", "Relative Lazy", "Absorption Eager", "Absorption Laz
 REGION_SCHEMES = ("DRed", "Absorption Lazy")
 SCALING_SCHEMES = ("Absorption Eager", "Absorption Lazy")
 PROCESSOR_SCHEMES = ("DRed", "Absorption Lazy")
+CHAOS_SCHEMES = ("Absorption Eager", "Absorption Lazy")
+BATCH_SCHEMES = ("Absorption Lazy", "Absorption Eager")
+MINSHIP_BATCH_SIZES = (1, 5, 25, 100)
 
+
+def run(name: str, config: ExperimentConfig = DEFAULT_CONFIG) -> List[Row]:
+    """Run the experiment ``name`` of :data:`EXPERIMENTS`; returns its result rows."""
+    return run_experiment(name, EXPERIMENTS[name], config)
+
+
+# ---------------------------------------------------------------------------
+# Workload helpers
+# ---------------------------------------------------------------------------
 
 def _topology(config: ExperimentConfig, dense: bool = True):
     return generate_topology(
@@ -84,510 +104,190 @@ def _topology(config: ExperimentConfig, dense: bool = True):
     )
 
 
-def _batch_policy(config: ExperimentConfig) -> BatchPolicy:
-    """The batching knobs of ``config`` as a :class:`BatchPolicy`."""
-    if config.batch_size <= 1:
-        return BatchPolicy.tuple_at_a_time()
-    ports = frozenset(config.batch_ports) if config.batch_ports is not None else None
-    return BatchPolicy(max_batch=config.batch_size, ports=ports)
+def _sweep(axis: str, counter: str, label: str, ratios, batches, changes) -> List[Phase]:
+    """One measured phase per ratio: ``changes(batch)`` are its base-data
+    changes and ``counter`` is the running batch total."""
+    phases: List[Phase] = []
+    total = 0
+    for ratio, batch in zip(ratios, batches):
+        total += len(batch)
+        phases.append(
+            Phase(f"{label}@{ratio}", params={axis: ratio, counter: total}, **changes(batch))
+        )
+    return phases
 
 
-def _strategy(scheme, config: ExperimentConfig) -> ExecutionStrategy:
-    """Resolve a scheme label, applying the config's BDD-kernel knobs."""
-    strategy = ExecutionStrategy.by_name(scheme) if isinstance(scheme, str) else scheme
-    return strategy.with_kernel_options(gc_threshold=config.bdd_gc_threshold)
+def _sensors(config: ExperimentConfig):
+    """The sensor workload, and its trigger order: seeds first (always
+    triggered), then the other sensors in a seeded shuffle."""
+    workload = SensorWorkload(
+        SensorField.grid(
+            side_metres=config.sensor_field_side,
+            spacing_metres=config.sensor_spacing,
+            proximity_radius=config.sensor_proximity_radius,
+            seed_groups=config.sensor_seed_groups,
+            rng_seed=config.seed,
+        )
+    )
+    sensors = workload.field
+    others = [s for s in sensors.sensor_ids if not sensors.is_seed(s)]
+    random.Random(config.seed).shuffle(others)
+    return workload, list(sensors.seed_sensors) + others
 
 
-def _executor(
-    plan,
-    scheme: str,
-    config: ExperimentConfig,
-    node_count: Optional[int] = None,
-    batch_policy: Optional[BatchPolicy] = None,
-    **extra,
-) -> DistributedViewExecutor:
-    return _build_with_backend(
+def _sensor_changes(delta: BaseDelta) -> Dict[str, Sequence]:
+    """A trigger/untrigger delta as a phase's base-data changes."""
+    return {
+        "edge_inserts": delta.proximity_inserts,
+        "edge_deletes": delta.proximity_deletes,
+        "seed_inserts": delta.seed_inserts,
+        "seed_deletes": delta.seed_deletes,
+    }
+
+
+def _scaling_points(config: ExperimentConfig, phases: Callable[[list], List[Phase]]):
+    """Points per figure-11/12 link budget (dense, then sparse) and scheme."""
+    for dense in (True, False):
+        density = "Dense" if dense else "Sparse"
+        seen_sizes: set = set()
+        for budget in config.link_budgets:
+            topology = topology_with_link_budget(budget, dense=dense, seed=config.seed)
+            if topology.directed_link_count in seen_sizes:
+                continue  # two budgets snapped to the same generatable topology
+            seen_sizes.add(topology.directed_link_count)
+            links = topology.link_tuples()
+            for scheme in SCALING_SCHEMES:
+                label = f"{scheme.split()[-1]} {density}"
+                params = {"scheme": label, "links": len(links), "density": density.lower()}
+                yield Point(params, phases(links), schemes=(scheme,))
+
+
+def _view_check(truth) -> After:
+    """Extras checking the final view against networkx ground truth."""
+    return lambda executor, phase, detail: {
+        "view_correct": executor.view_values() == truth,
+        "view_size": phase.view_size,
+    }
+
+
+# ---------------------------------------------------------------------------
+# Figures 7-14
+# ---------------------------------------------------------------------------
+
+def _figure7(config: ExperimentConfig) -> Iterator[Point]:
+    links = _topology(config).link_tuples()
+    batches = UpdateSchedule.staged_insertions(links, config.insertion_ratios).insert_batches
+    yield Point(
+        phases=_sweep(
+            "insertion_ratio", "links", "insert", config.insertion_ratios, batches,
+            lambda batch: {"edge_inserts": batch},
+        )
+    )
+
+
+def _figure8(config: ExperimentConfig) -> Iterator[Point]:
+    links = _topology(config).link_tuples()
+    schedule = UpdateSchedule.insert_then_delete(
+        links, 1.0, config.deletion_ratios, seed=config.seed
+    )
+    preload = Phase(
+        "preload", schedule.insert_batches[0], params={"deletion_ratio": "preload"},
+        measured=False,
+    )
+    yield Point(
+        phases=[preload] + _sweep(
+            "deletion_ratio", "deleted", "delete", config.deletion_ratios,
+            schedule.delete_batches, lambda batch: {"edge_deletes": batch},
+        )
+    )
+
+
+def _figure9(config: ExperimentConfig) -> Iterator[Point]:
+    workload, order = _sensors(config)
+    batches = UpdateSchedule.staged_insertions(order, config.insertion_ratios).insert_batches
+    yield Point(
+        phases=_sweep(
+            "insertion_ratio", "triggered", "trigger", config.insertion_ratios, batches,
+            lambda batch: _sensor_changes(workload.trigger_many(batch)),
+        )
+    )
+
+
+def _figure10(config: ExperimentConfig) -> Iterator[Point]:
+    workload, order = _sensors(config)
+    preload = Phase(
+        "preload", params={"deletion_ratio": "preload"}, measured=False,
+        **_sensor_changes(workload.trigger_many(order)),
+    )
+    # Untrigger ordinary (non-seed) sensors in a deterministic shuffled order.
+    untrigger_order = [s for s in order if not workload.field.is_seed(s)]
+    random.Random(config.seed + 1).shuffle(untrigger_order)
+    schedule = UpdateSchedule.staged_deletions(untrigger_order, config.deletion_ratios)
+    yield Point(
+        phases=[preload] + _sweep(
+            "deletion_ratio", "untriggered", "untrigger", config.deletion_ratios,
+            schedule.delete_batches,
+            lambda batch: _sensor_changes(workload.untrigger_many(batch)),
+        )
+    )
+
+
+def _figure11(config: ExperimentConfig) -> Iterator[Point]:
+    return _scaling_points(config, lambda links: [Phase("insert", links)])
+
+
+def _figure12(config: ExperimentConfig) -> Iterator[Point]:
+    return _scaling_points(
         config,
-        plan,
-        _strategy(scheme, config),
-        node_count=node_count or config.node_count,
-        max_events=config.max_events,
-        max_wall_seconds=config.max_wall_seconds,
-        experiment=plan.name,
-        batch_policy=batch_policy or _batch_policy(config),
-        **extra,
+        lambda links: [
+            Phase("preload", links, measured=False),
+            Phase("delete20", edge_deletes=deletion_sample(links, 0.2, seed=config.seed)),
+        ],
     )
 
 
-def _build_with_backend(config: ExperimentConfig, plan, strategy, **kwargs):
-    """``build_executor`` honouring the config's backend selection.
-
-    Plans the process backend cannot ship (closure-captured plan variants) and
-    strategies it cannot host fall back to the in-process simulator with a
-    warning rather than failing the whole figure sweep.
-    """
-    if config.backend == "process":
-        try:
-            return build_executor(
-                plan, strategy, backend="process", workers=config.workers or None, **kwargs
-            )
-        except SimulationError as exc:
-            print(
-                f"# note: {plan.name}/{getattr(strategy, 'label', strategy)} "
-                f"falls back to the in-process backend ({exc})",
-                file=sys.stderr,
-            )
-    return build_executor(plan, strategy, **kwargs)
-
-
-def _base_row(figure: str, scheme: str, **parameters: object) -> Row:
-    row: Row = {"figure": figure, "scheme": scheme}
-    row.update(parameters)
-    tracer = current_tracer()
-    if tracer.enabled:
-        # Every driver starts a (figure, scheme, x) point through here, so
-        # one instant on the harness track marks each sweep point in a trace.
-        point = ",".join(f"{k}={v}" for k, v in parameters.items())
-        tracer.instant(HARNESS_PID, f"fig{figure}[{scheme}] {point}", "harness")
-    return row
-
-
-def _metric_row(
-    row: Row,
-    per_tuple_provenance: float,
-    communication_mb: float,
-    state_mb: float,
-    convergence_s: float,
-    converged: bool = True,
-    **extra: object,
-) -> Row:
-    row.update(
-        {
-            "per_tuple_provenance_B": round(per_tuple_provenance, 2),
-            "communication_MB": round(communication_mb, 6),
-            "state_MB": round(state_mb, 6),
-            "convergence_time_s": round(convergence_s, 6),
-            "converged": converged,
-        }
-    )
-    row.update(extra)
-    return row
-
-
-def _censored_row(row: Row, executor: DistributedViewExecutor) -> Row:
-    """Row for a run cut off by the budget (reported like the paper's '>5 min')."""
-    stats = executor.network.stats
-    return _metric_row(
-        row,
-        per_tuple_provenance=stats.per_tuple_provenance_bytes,
-        communication_mb=stats.communication_mb,
-        state_mb=executor.state_bytes() / 1_000_000.0,
-        convergence_s=stats.convergence_time,
-        converged=False,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Figure 7: reachable, insertion-only workload
-# ---------------------------------------------------------------------------
-
-def run_figure7(
-    config: ExperimentConfig = DEFAULT_CONFIG, schemes: Sequence[str] = INSERTION_SCHEMES
-) -> List[Row]:
-    """Reachable-view computation as links are inserted (insertion-ratio sweep)."""
-    topology = _topology(config, dense=True)
-    links = topology.link_tuples()
-    rows: List[Row] = []
-    for scheme in schemes:
-        executor = _executor(reachability_plan(), scheme, config)
-        cumulative_mb = 0.0
-        cumulative_time = 0.0
-        inserted = 0
-        try:
-            for ratio in config.insertion_ratios:
-                prefix = insertion_prefix(links, ratio)
-                batch = prefix[inserted:]
-                inserted = len(prefix)
-                phase = executor.insert_edges(batch, label=f"insert@{ratio}")
-                cumulative_mb += phase.communication_mb
-                cumulative_time += phase.convergence_time_s
-                rows.append(
-                    _metric_row(
-                        _base_row("7", scheme, insertion_ratio=ratio, links=inserted),
-                        per_tuple_provenance=executor.metrics.mean_per_tuple_provenance_bytes,
-                        communication_mb=cumulative_mb,
-                        state_mb=phase.state_mb,
-                        convergence_s=cumulative_time,
-                        view_size=phase.view_size,
-                    )
-                )
-        except SimulationBudgetExceeded:
-            rows.append(
-                _censored_row(
-                    _base_row("7", scheme, insertion_ratio="(budget exceeded)", links=inserted),
-                    executor,
-                )
-            )
-    return rows
-
-
-# ---------------------------------------------------------------------------
-# Figure 8: reachable, insertions followed by deletions
-# ---------------------------------------------------------------------------
-
-def run_figure8(
-    config: ExperimentConfig = DEFAULT_CONFIG, schemes: Sequence[str] = DELETION_SCHEMES
-) -> List[Row]:
-    """Reachable-view maintenance as links are deleted (deletion-ratio sweep)."""
-    topology = _topology(config, dense=True)
-    links = topology.link_tuples()
-    rows: List[Row] = []
-    for scheme in schemes:
-        executor = _executor(reachability_plan(), scheme, config)
-        try:
-            executor.insert_edges(links, label="preload")
-        except SimulationBudgetExceeded:
-            rows.append(_censored_row(_base_row("8", scheme, deletion_ratio="preload"), executor))
-            continue
-        cumulative_mb = 0.0
-        cumulative_time = 0.0
-        already_deleted: set = set()
-        try:
-            for ratio in config.deletion_ratios:
-                target = deletion_sample(links, ratio, seed=config.seed)
-                batch = [t for t in target if t not in already_deleted]
-                already_deleted.update(batch)
-                phase = executor.delete_edges(batch, label=f"delete@{ratio}")
-                cumulative_mb += phase.communication_mb
-                cumulative_time += phase.convergence_time_s
-                rows.append(
-                    _metric_row(
-                        _base_row(
-                            "8", scheme, deletion_ratio=ratio, deleted=len(already_deleted)
-                        ),
-                        per_tuple_provenance=phase.per_tuple_provenance_bytes,
-                        communication_mb=cumulative_mb,
-                        state_mb=phase.state_mb,
-                        convergence_s=cumulative_time,
-                        view_size=phase.view_size,
-                    )
-                )
-        except SimulationBudgetExceeded:
-            rows.append(
-                _censored_row(_base_row("8", scheme, deletion_ratio="(budget exceeded)"), executor)
-            )
-    return rows
-
-
-# ---------------------------------------------------------------------------
-# Figures 9 and 10: the sensor-region query
-# ---------------------------------------------------------------------------
-
-def _sensor_workload(config: ExperimentConfig) -> SensorWorkload:
-    field = SensorField.grid(
-        side_metres=config.sensor_field_side,
-        spacing_metres=config.sensor_spacing,
-        proximity_radius=config.sensor_proximity_radius,
-        seed_groups=config.sensor_seed_groups,
-        rng_seed=config.seed,
-    )
-    return SensorWorkload(field)
-
-
-def _sensor_trigger_order(workload: SensorWorkload, config: ExperimentConfig) -> List[str]:
-    """Seeds first (always triggered), then the other sensors in a seeded shuffle."""
-    field = workload.field
-    rng = random.Random(config.seed)
-    others = [s for s in field.sensor_ids if not field.is_seed(s)]
-    rng.shuffle(others)
-    return list(field.seed_sensors) + others
-
-
-def run_figure9(
-    config: ExperimentConfig = DEFAULT_CONFIG, schemes: Sequence[str] = REGION_SCHEMES
-) -> List[Row]:
-    """Region-query computation as sensors are triggered (insertion-ratio sweep)."""
-    rows: List[Row] = []
-    for scheme in schemes:
-        workload = _sensor_workload(config)
-        order = _sensor_trigger_order(workload, config)
-        executor = _executor(region_plan(), scheme, config)
-        cumulative_mb = 0.0
-        cumulative_time = 0.0
-        triggered = 0
-        try:
-            for ratio in config.insertion_ratios:
-                target = round(len(order) * ratio)
-                batch = order[triggered:target]
-                triggered = target
-                delta = workload.trigger_many(batch)
-                phase = executor.apply_mixed(
-                    edge_inserts=delta.proximity_inserts,
-                    seed_inserts=delta.seed_inserts,
-                    label=f"trigger@{ratio}",
-                )
-                cumulative_mb += phase.communication_mb
-                cumulative_time += phase.convergence_time_s
-                rows.append(
-                    _metric_row(
-                        _base_row("9", scheme, insertion_ratio=ratio, triggered=triggered),
-                        per_tuple_provenance=executor.metrics.mean_per_tuple_provenance_bytes,
-                        communication_mb=cumulative_mb,
-                        state_mb=phase.state_mb,
-                        convergence_s=cumulative_time,
-                        view_size=phase.view_size,
-                    )
-                )
-        except SimulationBudgetExceeded:
-            rows.append(
-                _censored_row(_base_row("9", scheme, insertion_ratio="(budget exceeded)"), executor)
-            )
-    return rows
-
-
-def run_figure10(
-    config: ExperimentConfig = DEFAULT_CONFIG, schemes: Sequence[str] = REGION_SCHEMES
-) -> List[Row]:
-    """Region-query maintenance as triggered sensors are untriggered (deletion sweep)."""
-    rows: List[Row] = []
-    for scheme in schemes:
-        workload = _sensor_workload(config)
-        order = _sensor_trigger_order(workload, config)
-        executor = _executor(region_plan(), scheme, config)
-        delta = workload.trigger_many(order)
-        try:
-            executor.apply_mixed(
-                edge_inserts=delta.proximity_inserts,
-                seed_inserts=delta.seed_inserts,
-                label="preload",
-            )
-        except SimulationBudgetExceeded:
-            rows.append(_censored_row(_base_row("10", scheme, deletion_ratio="preload"), executor))
-            continue
-        # Untrigger ordinary (non-seed) sensors in a deterministic shuffled order.
-        rng = random.Random(config.seed + 1)
-        untrigger_order = [s for s in order if not workload.field.is_seed(s)]
-        rng.shuffle(untrigger_order)
-        cumulative_mb = 0.0
-        cumulative_time = 0.0
-        untriggered = 0
-        try:
-            for ratio in config.deletion_ratios:
-                target = round(len(untrigger_order) * ratio)
-                batch = untrigger_order[untriggered:target]
-                untriggered = target
-                delta = workload.untrigger_many(batch)
-                phase = executor.apply_mixed(
-                    edge_deletes=delta.proximity_deletes,
-                    seed_deletes=delta.seed_deletes,
-                    label=f"untrigger@{ratio}",
-                )
-                cumulative_mb += phase.communication_mb
-                cumulative_time += phase.convergence_time_s
-                rows.append(
-                    _metric_row(
-                        _base_row("10", scheme, deletion_ratio=ratio, untriggered=untriggered),
-                        per_tuple_provenance=phase.per_tuple_provenance_bytes,
-                        communication_mb=cumulative_mb,
-                        state_mb=phase.state_mb,
-                        convergence_s=cumulative_time,
-                        view_size=phase.view_size,
-                    )
-                )
-        except SimulationBudgetExceeded:
-            rows.append(
-                _censored_row(_base_row("10", scheme, deletion_ratio="(budget exceeded)"), executor)
-            )
-    return rows
-
-
-# ---------------------------------------------------------------------------
-# Figures 11 and 12: scaling the number of links (dense vs sparse)
-# ---------------------------------------------------------------------------
-
-def run_figure11(
-    config: ExperimentConfig = DEFAULT_CONFIG, schemes: Sequence[str] = SCALING_SCHEMES
-) -> List[Row]:
-    """Insertion workload while scaling total links, dense vs sparse topologies."""
-    rows: List[Row] = []
-    for dense in (True, False):
-        seen_sizes: set = set()
-        for budget in config.link_budgets:
-            topology = topology_with_link_budget(budget, dense=dense, seed=config.seed)
-            if topology.directed_link_count in seen_sizes:
-                continue  # two budgets snapped to the same generatable topology
-            seen_sizes.add(topology.directed_link_count)
-            links = topology.link_tuples()
-            for scheme in schemes:
-                label = f"{'Dense' if dense else 'Sparse'}"
-                executor = _executor(reachability_plan(), scheme, config)
-                row = _base_row(
-                    "11",
-                    f"{scheme.split()[-1]} {label}",
-                    links=len(links),
-                    density=label.lower(),
-                )
-                try:
-                    phase = executor.insert_edges(links, label="insert")
-                except SimulationBudgetExceeded:
-                    rows.append(_censored_row(row, executor))
-                    continue
-                rows.append(
-                    _metric_row(
-                        row,
-                        per_tuple_provenance=phase.per_tuple_provenance_bytes,
-                        communication_mb=phase.communication_mb,
-                        state_mb=phase.state_mb,
-                        convergence_s=phase.convergence_time_s,
-                        view_size=phase.view_size,
-                    )
-                )
-    return rows
-
-
-def run_figure12(
-    config: ExperimentConfig = DEFAULT_CONFIG, schemes: Sequence[str] = SCALING_SCHEMES
-) -> List[Row]:
-    """Deleting 20 % of links while scaling total links, dense vs sparse topologies."""
-    rows: List[Row] = []
-    for dense in (True, False):
-        seen_sizes: set = set()
-        for budget in config.link_budgets:
-            topology = topology_with_link_budget(budget, dense=dense, seed=config.seed)
-            if topology.directed_link_count in seen_sizes:
-                continue  # two budgets snapped to the same generatable topology
-            seen_sizes.add(topology.directed_link_count)
-            links = topology.link_tuples()
-            deletions = deletion_sample(links, 0.2, seed=config.seed)
-            for scheme in schemes:
-                label = f"{'Dense' if dense else 'Sparse'}"
-                executor = _executor(reachability_plan(), scheme, config)
-                row = _base_row(
-                    "12",
-                    f"{scheme.split()[-1]} {label}",
-                    links=len(links),
-                    density=label.lower(),
-                )
-                try:
-                    executor.insert_edges(links, label="preload")
-                    phase = executor.delete_edges(deletions, label="delete20")
-                except SimulationBudgetExceeded:
-                    rows.append(_censored_row(row, executor))
-                    continue
-                rows.append(
-                    _metric_row(
-                        row,
-                        per_tuple_provenance=phase.per_tuple_provenance_bytes,
-                        communication_mb=phase.communication_mb,
-                        state_mb=phase.state_mb,
-                        convergence_s=phase.convergence_time_s,
-                        view_size=phase.view_size,
-                    )
-                )
-    return rows
-
-
-# ---------------------------------------------------------------------------
-# Figure 13: scaling the number of query-processor nodes
-# ---------------------------------------------------------------------------
-
-def run_figure13(
-    config: ExperimentConfig = DEFAULT_CONFIG, schemes: Sequence[str] = PROCESSOR_SCHEMES
-) -> List[Row]:
-    """Insert-all-then-delete-20% of the reachable workload at varying cluster sizes."""
-    topology = _topology(config, dense=True)
-    links = topology.link_tuples()
+def _figure13(config: ExperimentConfig) -> Iterator[Point]:
+    links = _topology(config).link_tuples()
     deletions = deletion_sample(links, 0.2, seed=config.seed)
-    rows: List[Row] = []
     for processors in config.processor_counts:
-        latency = ClusterLatencyModel(primary_cluster_size=min(processors, 16))
-        for scheme in schemes:
-            executor = _build_with_backend(
-                config,
-                reachability_plan(),
-                scheme,
-                node_count=processors,
-                latency_model=latency,
-                max_events=config.max_events,
-                max_wall_seconds=config.max_wall_seconds,
-                experiment="figure13",
-            )
-            row = _base_row("13", scheme, processors=processors)
-            try:
-                insert_phase = executor.insert_edges(links, label="insert")
-                delete_phase = executor.delete_edges(deletions, label="delete20")
-            except SimulationBudgetExceeded:
-                rows.append(_censored_row(row, executor))
-                continue
-            total_mb = insert_phase.communication_mb + delete_phase.communication_mb
-            rows.append(
-                _metric_row(
-                    row,
-                    per_tuple_provenance=executor.metrics.mean_per_tuple_provenance_bytes,
-                    communication_mb=total_mb,
-                    state_mb=delete_phase.state_mb,
-                    convergence_s=insert_phase.convergence_time_s
-                    + delete_phase.convergence_time_s,
-                    per_node_communication_MB=round(total_mb / processors, 6),
-                    per_node_state_MB=round(delete_phase.state_mb / processors, 6),
-                    view_size=delete_phase.view_size,
-                )
-            )
-    return rows
+        per_node = lambda executor, phase, detail, processors=processors: {  # noqa: E731
+            "per_node_communication_MB": round(
+                executor.metrics.total_communication_mb / processors, 6
+            ),
+            "per_node_state_MB": round(phase.state_mb / processors, 6),
+            "view_size": phase.view_size,
+        }
+        yield Point(
+            {"processors": processors},
+            [Phase("insert", links), Phase("delete20", edge_deletes=deletions, after=per_node)],
+            options={"node_count": processors},
+        )
 
 
-# ---------------------------------------------------------------------------
-# Figure 14: aggregate selections on the shortest-path query
-# ---------------------------------------------------------------------------
-
-def run_figure14(
-    config: ExperimentConfig = DEFAULT_CONFIG,
-    scheme: str = "Absorption Lazy",
-) -> List[Row]:
-    """Multi vs single vs no aggregate selection, dense and sparse topologies."""
-    rows: List[Row] = []
+def _figure14(config: ExperimentConfig) -> Iterator[Point]:
     modes = (
         ("Multi AggSel", AGGSEL_MULTI),
         ("Single AggSel", AGGSEL_SINGLE),
         ("No AggSel", AGGSEL_NONE),
     )
     for dense in (True, False):
-        topology = _topology(config, dense=dense)
-        links = topology.cost_link_tuples()
-        density = "dense" if dense else "sparse"
-        for label, mode in modes:
-            plan = shortest_path_plan(
-                aggregate_selection=mode,
-                max_hops=config.path_hop_bound if mode == AGGSEL_NONE else None,
+        links = _topology(config, dense=dense).cost_link_tuples()
+        for name, mode in modes:
+            yield Point(
+                {"scheme": name, "density": "dense" if dense else "sparse", "links": len(links)},
+                [Phase("insert", links)],
+                plan=shortest_path_plan(
+                    aggregate_selection=mode,
+                    max_hops=config.path_hop_bound if mode == AGGSEL_NONE else None,
+                ),
             )
-            executor = _executor(plan, scheme, config)
-            row = _base_row("14", label, density=density, links=len(links))
-            try:
-                phase = executor.insert_edges(links, label="insert")
-            except SimulationBudgetExceeded:
-                rows.append(_censored_row(row, executor))
-                continue
-            rows.append(
-                _metric_row(
-                    row,
-                    per_tuple_provenance=phase.per_tuple_provenance_bytes,
-                    communication_mb=phase.communication_mb,
-                    state_mb=phase.state_mb,
-                    convergence_s=phase.convergence_time_s,
-                    view_size=phase.view_size,
-                )
-            )
-    return rows
 
 
 # ---------------------------------------------------------------------------
 # Churn: node crashes mid-workload, compared across recovery policies
 # ---------------------------------------------------------------------------
 
-def run_churn_recovery(
-    config: ExperimentConfig = DEFAULT_CONFIG,
-    scheme: str = "Absorption Lazy",
-) -> List[Row]:
+def _churn(config: ExperimentConfig) -> Iterator[Point]:
     """Crash/recover nodes mid-insertion-stream and compare recovery policies.
 
     A failure-free run of the insertion workload establishes the convergence
@@ -597,91 +297,49 @@ def run_churn_recovery(
     the paper's convergence-time and bytes-shipped metrics plus whether the
     final view still equals the networkx ground truth.
     """
-    topology = _topology(config, dense=True)
-    links = topology.link_tuples()
-    truth = reachable_pairs((link["src"], link["dst"]) for link in links)
-    rows: List[Row] = []
-
-    baseline = fault_tolerant_executor(
-        reachability_plan(),
-        scheme,
-        node_count=config.node_count,
-        checkpoint_interval=0,
-        retain_wal_entries=False,  # no crashes: the log is never replayed
-        max_events=config.max_events,
-        max_wall_seconds=config.max_wall_seconds,
-        experiment="churn",
+    links = _topology(config).link_tuples()
+    checked = _view_check(reachable_pairs((link["src"], link["dst"]) for link in links))
+    fault_tolerant = {"kind": fault_tolerant_executor}
+    baseline = Point(
+        {"policy": "no-failure", "crashes": 0},
+        [Phase("insert", links, after=checked)],
+        # No crashes: the log is never replayed.
+        options={**fault_tolerant, "checkpoint_interval": 0, "retain_wal_entries": False},
     )
-    try:
-        phase = baseline.insert_edges(links, label="insert")
-    except SimulationBudgetExceeded:
-        return [_censored_row(_base_row("churn", scheme, policy="no-failure"), baseline)]
-    horizon = phase.convergence_time_s
-    rows.append(
-        _metric_row(
-            _base_row("churn", scheme, policy="no-failure", crashes=0),
-            per_tuple_provenance=phase.per_tuple_provenance_bytes,
-            communication_mb=phase.communication_mb,
-            state_mb=phase.state_mb,
-            convergence_s=phase.convergence_time_s,
-            view_correct=baseline.view_values() == truth,
-            view_size=phase.view_size,
-        )
-    )
-
+    yield baseline
+    if baseline.result is None:
+        return
     scenario = generate_churn(
-        node_count=config.node_count,
-        cycles=config.churn_cycles,
-        downtime=config.churn_downtime,
-        seed=config.seed,
-    ).scaled(horizon)
-    for policy in (RecoveryPolicy.CHECKPOINT_REPLAY, RecoveryPolicy.PROVENANCE_PURGE):
-        interval = (
-            config.churn_checkpoint_interval
-            if policy is RecoveryPolicy.CHECKPOINT_REPLAY
-            else 0
-        )
-        executor = fault_tolerant_executor(
-            reachability_plan(),
-            scheme,
-            recovery_policy=policy,
-            checkpoint_interval=interval,
-            node_count=config.node_count,
-            max_events=config.max_events,
-            max_wall_seconds=config.max_wall_seconds,
-            experiment="churn",
-        )
-        scenario.apply(executor)
-        row = _base_row("churn", scheme, policy=policy.value, crashes=scenario.crash_count)
-        try:
-            phase = executor.insert_edges(links, label="insert")
-        except SimulationBudgetExceeded:
-            rows.append(_censored_row(row, executor))
-            continue
+        node_count=config.node_count, cycles=config.churn_cycles,
+        downtime=config.churn_downtime, seed=config.seed,
+    ).scaled(baseline.result[0].convergence_time_s)
+
+    def recovered(executor, phase: PhaseMetrics, detail: List[Row]) -> Row:
         stats = executor.fault_stats()
-        rows.append(
-            _metric_row(
-                row,
-                per_tuple_provenance=phase.per_tuple_provenance_bytes,
-                communication_mb=phase.communication_mb,
-                state_mb=phase.state_mb,
-                convergence_s=phase.convergence_time_s,
-                view_correct=executor.view_values() == truth,
-                view_size=phase.view_size,
-                wal_entries=stats["wal_entries"],
-                checkpoints=stats["checkpoints_taken"],
-                checkpoint_KB=round(stats["checkpoint_bytes"] / 1000.0, 1),
-                dropped_messages=stats["dropped_messages"],
-            )
+        return {
+            **checked(executor, phase, detail),
+            "wal_entries": stats["wal_entries"],
+            "checkpoints": stats["checkpoints_taken"],
+            "checkpoint_KB": round(stats["checkpoint_bytes"] / 1000.0, 1),
+            "dropped_messages": stats["dropped_messages"],
+        }
+
+    for policy, interval in (
+        (RecoveryPolicy.CHECKPOINT_REPLAY, config.churn_checkpoint_interval),
+        (RecoveryPolicy.PROVENANCE_PURGE, 0),
+    ):
+        yield Point(
+            {"policy": policy.value, "crashes": scenario.crash_count},
+            [Phase("insert", links, before=scenario.apply, after=recovered)],
+            options={**fault_tolerant, "recovery_policy": policy, "checkpoint_interval": interval},
         )
-    return rows
 
 
 # ---------------------------------------------------------------------------
 # Elastic: scale a running cluster from N to 2N processors (and back down)
 # ---------------------------------------------------------------------------
 
-def _per_node_rows(executor, scheme: str, stage: str) -> List[Row]:
+def _per_node_rows(executor, stage: str) -> List[Row]:
     """Per-node traffic/state rows for the current phase (the skew view)."""
     state = executor.per_node_state_bytes()
     rows: List[Row] = []
@@ -689,17 +347,27 @@ def _per_node_rows(executor, scheme: str, stage: str) -> List[Row]:
         node = entry["node"]
         if not executor.network.is_active(node):
             continue
-        row: Row = {"figure": "elastic", "scheme": scheme, "stage": stage}
+        row: Row = {"figure": "elastic", "scheme": executor.strategy.label, "stage": stage}
         row.update(entry)
         row["state_KB"] = round(state.get(node, 0) / 1000.0, 2)
         rows.append(row)
     return rows
 
 
-def run_elastic_scaling(
-    config: ExperimentConfig = DEFAULT_CONFIG,
-    scheme: str = "Absorption Eager",
-) -> List[Row]:
+def _placement_columns(executor, since: Dict[str, object]) -> Row:
+    """Placement costs accrued since the ``since`` snapshot of ``placement_stats``."""
+    stats = executor.placement_stats()
+    moved = stats["moved_state_bytes"] - since.get("moved_state_bytes", 0)
+    return {
+        "moved_state_KB": round(moved / 1000.0, 2),
+        "misrouted_batches": stats["misrouted_batches"] - since.get("misrouted_batches", 0),
+        "misrouted_updates": stats["misrouted_updates"] - since.get("misrouted_updates", 0),
+        "stale_epoch_messages": executor.network.stats.stale_epoch_messages,
+        "epoch": stats["epoch"],
+    }
+
+
+def _elastic(config: ExperimentConfig) -> Iterator[Point]:
     """Scale a *running* cluster from N to 2N processors and back down.
 
     Extends Figure 13 from static comparison to dynamic scaling: two static
@@ -711,152 +379,141 @@ def run_elastic_scaling(
     rows additionally report the placement subsystem's own costs: moved
     state bytes (checkpoint-codec measured) and misrouted batches (stale-
     epoch deliveries bounced to the current owner).  ``config.per_node``
-    appends per-node traffic/state rows before and after the rebalance so
-    the hotspot skew is visible.
+    adds per-node traffic/state rows before and after the rebalance so the
+    hotspot skew is visible.
     """
     workload = generate_hotspot(
-        spokes=config.hotspot_spokes,
-        hubs=config.hotspot_hubs,
-        hub_bias=config.hotspot_bias,
-        extra_links=config.hotspot_extra_links,
-        seed=config.seed,
+        spokes=config.hotspot_spokes, hubs=config.hotspot_hubs, hub_bias=config.hotspot_bias,
+        extra_links=config.hotspot_extra_links, seed=config.seed,
     )
     links = workload.link_tuples()
     deletions = deletion_sample(links, config.elastic_deletion_ratio, seed=config.seed)
-    truth_inserted = reachable_pairs(workload.edge_pairs())
     deleted = set(deletions)
-    remaining = [l for l in links if l not in deleted]
-    truth_remaining = reachable_pairs((l["src"], l["dst"]) for l in remaining)
+    inserted_check = _view_check(reachable_pairs(workload.edge_pairs()))
+    remaining_check = _view_check(
+        reachable_pairs((l["src"], l["dst"]) for l in links if l not in deleted)
+    )
     n = config.node_count
-    rows: List[Row] = []
-
     # Static reference points (the figure-13-style endpoints).
-    insert_horizon = None
-    delete_horizon = None
-    for processors in (n, 2 * n):
-        executor = _executor(reachability_plan(), scheme, config, node_count=processors)
-        row = _base_row("elastic", scheme, phase="static", processors=str(processors))
-        try:
-            insert_phase = executor.insert_edges(links, label="insert")
-            delete_phase = executor.delete_edges(deletions, label="delete")
-        except SimulationBudgetExceeded:
-            rows.append(_censored_row(row, executor))
-            continue
-        if processors == n:
-            insert_horizon = insert_phase.convergence_time_s
-            delete_horizon = delete_phase.convergence_time_s
-        rows.append(
-            _metric_row(
-                row,
-                per_tuple_provenance=executor.metrics.mean_per_tuple_provenance_bytes,
-                communication_mb=insert_phase.communication_mb
-                + delete_phase.communication_mb,
-                state_mb=delete_phase.state_mb,
-                convergence_s=insert_phase.convergence_time_s
-                + delete_phase.convergence_time_s,
-                view_correct=executor.view_values() == truth_remaining,
-                view_size=delete_phase.view_size,
-            )
+    static = [
+        Point(
+            {"phase": "static", "processors": str(processors)},
+            [
+                Phase("insert", links),
+                Phase("delete", edge_deletes=deletions, after=remaining_check),
+            ],
+            options={"node_count": processors},
         )
-    if insert_horizon is None:
-        return rows
+        for processors in (n, 2 * n)
+    ]
+    yield from static
+    if static[0].result is None:
+        return
+    insert_horizon, delete_horizon = (p.convergence_time_s for p in static[0].result)
+    spread = [0.15 + 0.6 * index / max(n - 1, 1) for index in range(n)]
+    scaled_out: Dict[str, object] = {}
 
-    executor = elastic_executor(
-        reachability_plan(),
-        scheme,
-        node_count=n,
-        virtual_nodes=config.virtual_nodes,
-        # Same two-cluster latency shape as the static 2N reference run, so
-        # admitted processors join the primary cluster rather than paying the
-        # inter-cluster penalty the static comparison does not pay.
-        latency_model=ClusterLatencyModel(primary_cluster_size=min(2 * n, 16)),
-        max_events=config.max_events,
-        max_wall_seconds=config.max_wall_seconds,
-        experiment="elastic",
-        batch_policy=_batch_policy(config),
-    )
-    # Scale out: admit N processors spread across the insertion stream.
-    for index in range(n):
-        at_time = insert_horizon * (0.15 + 0.6 * index / max(n - 1, 1))
-        executor.schedule_add_node(at_time)
-    row = _base_row("elastic", scheme, phase="scale-out", processors=f"{n}->{2 * n}")
-    try:
-        insert_phase = executor.insert_edges(links, label="scale-out")
-    except SimulationBudgetExceeded:
-        rows.append(_censored_row(row, executor))
-        return rows
-    if config.per_node:
-        rows.extend(_per_node_rows(executor, scheme, stage="before-rebalance"))
-    rebalance_report = executor.rebalance()
-    if config.per_node:
-        rows.extend(_per_node_rows(executor, scheme, stage="after-rebalance"))
-    stats = executor.placement_stats()
-    rows.append(
-        _metric_row(
-            row,
-            per_tuple_provenance=insert_phase.per_tuple_provenance_bytes,
-            communication_mb=insert_phase.communication_mb,
-            state_mb=insert_phase.state_mb,
-            convergence_s=insert_phase.convergence_time_s,
-            view_correct=executor.view_values() == truth_inserted,
-            view_size=insert_phase.view_size,
-            moved_state_KB=round(stats["moved_state_bytes"] / 1000.0, 2),
-            misrouted_batches=stats["misrouted_batches"],
-            misrouted_updates=stats["misrouted_updates"],
-            stale_epoch_messages=executor.network.stats.stale_epoch_messages,
-            epoch=stats["epoch"],
-            rebalanced=rebalance_report is not None,
-        )
-    )
+    def scale_out(executor) -> None:
+        for fraction in spread:
+            executor.schedule_add_node(insert_horizon * fraction)
 
-    # Scale in: decommission the admitted processors across the deletion stream.
-    out_stats = stats
-    for index in range(n):
-        at_time = executor.network.now + (delete_horizon or insert_horizon) * (
-            0.15 + 0.6 * index / max(n - 1, 1)
-        )
-        executor.schedule_remove_node(n + index, at_time)
-    row = _base_row("elastic", scheme, phase="scale-in", processors=f"{2 * n}->{n}")
-    try:
-        delete_phase = executor.delete_edges(deletions, label="scale-in")
-    except SimulationBudgetExceeded:
-        rows.append(_censored_row(row, executor))
-        return rows
-    stats = executor.placement_stats()
-    rows.append(
-        _metric_row(
-            row,
-            per_tuple_provenance=delete_phase.per_tuple_provenance_bytes,
-            communication_mb=delete_phase.communication_mb,
-            state_mb=delete_phase.state_mb,
-            convergence_s=delete_phase.convergence_time_s,
-            view_correct=executor.view_values() == truth_remaining,
-            view_size=delete_phase.view_size,
-            moved_state_KB=round(
-                (stats["moved_state_bytes"] - out_stats["moved_state_bytes"]) / 1000.0, 2
+    def rebalance(executor, phase: PhaseMetrics, detail: List[Row]) -> Row:
+        if config.per_node:
+            detail.extend(_per_node_rows(executor, "before-rebalance"))
+        rebalanced = executor.rebalance() is not None
+        if config.per_node:
+            detail.extend(_per_node_rows(executor, "after-rebalance"))
+        scaled_out.update(executor.placement_stats())
+        return {
+            **inserted_check(executor, phase, detail),
+            **_placement_columns(executor, {}),
+            "rebalanced": rebalanced,
+        }
+
+    def scale_in(executor) -> None:
+        start = executor.network.now
+        for index, fraction in enumerate(spread):
+            at_time = start + (delete_horizon or insert_horizon) * fraction
+            executor.schedule_remove_node(n + index, at_time)
+
+    def scaled_in(executor, phase: PhaseMetrics, detail: List[Row]) -> Row:
+        if config.per_node:
+            detail.extend(_per_node_rows(executor, "after-scale-in"))
+        return {
+            **remaining_check(executor, phase, detail),
+            **_placement_columns(executor, scaled_out),
+        }
+
+    yield Point(
+        phases=[
+            Phase(
+                "scale-out", links, params={"phase": "scale-out", "processors": f"{n}->{2 * n}"},
+                before=scale_out, after=rebalance,
             ),
-            misrouted_batches=stats["misrouted_batches"] - out_stats["misrouted_batches"],
-            misrouted_updates=stats["misrouted_updates"] - out_stats["misrouted_updates"],
-            stale_epoch_messages=executor.network.stats.stale_epoch_messages,
-            epoch=stats["epoch"],
-        )
+            Phase(
+                "scale-in", edge_deletes=deletions,
+                params={"phase": "scale-in", "processors": f"{2 * n}->{n}"},
+                before=scale_in, after=scaled_in,
+            ),
+        ],
+        options={
+            "kind": elastic_executor,
+            "virtual_nodes": config.virtual_nodes,
+            # Same two-cluster latency shape as the static 2N reference run, so
+            # admitted processors join the primary cluster rather than paying
+            # the inter-cluster penalty the static comparison does not pay.
+            "latency_model": ClusterLatencyModel(primary_cluster_size=min(2 * n, 16)),
+        },
+        rows="phase",
+        provenance="last",
     )
-    if config.per_node:
-        rows.extend(_per_node_rows(executor, scheme, stage="after-scale-in"))
-    return rows
 
 
 # ---------------------------------------------------------------------------
 # Chaos: the full fault plane, gated by parity against a fault-free reference
 # ---------------------------------------------------------------------------
 
-CHAOS_SCHEMES = ("Absorption Eager", "Absorption Lazy")
+def _parity(verify, chaos_plan, workload, config, scheme, row: Row, **options) -> Row:
+    """A parity row: the chaos run must converge to the fault-free reference."""
+    try:
+        report = verify(
+            reachability_plan(), strategy_for(scheme, config), chaos_plan, workload,
+            node_count=config.node_count, max_events=config.max_events,
+            batch_policy=batch_policy_for(config), **options,
+        )
+    except SimulationError as exc:  # a budget overrun, or a worker lost for good
+        row.update({"parity_passed": False, "converged": False, "error": str(exc)})
+        return row
+    row.update(report.as_row())
+    return row
 
 
-def run_chaos(
-    config: ExperimentConfig = DEFAULT_CONFIG,
-    schemes: Sequence[str] = CHAOS_SCHEMES,
-) -> List[Row]:
+def _process_parity(chaos_plan, workload, config, scheme, row: Row) -> Row:
+    """Real SIGKILLs on the process backend; killed workers replay their WALs."""
+    with tempfile.TemporaryDirectory(prefix="chaos-wal-") as wal_dir:
+        return _parity(
+            verify_process_parity, chaos_plan, workload, config, scheme, row,
+            wal_dir=wal_dir, workers=config.workers or 3,
+        )
+
+
+def _degraded_rows(executor, row: Row) -> List[Row]:
+    """The graceful-degradation row: budget exhaustion serves stale views."""
+    view, staleness = executor.view_with_staleness()
+    row.update(executor.chaos_stats())
+    row.update(
+        {
+            "parity_passed": "(n/a: degraded by design)",
+            "view_size": len(view),
+            "stale_partitions": len(staleness),
+            "stale_since": [round(info.since, 4) for info in staleness.values()],
+            "converged": True,
+        }
+    )
+    return [row]
+
+
+def _chaos(config: ExperimentConfig) -> Iterator[Point]:
     """The combined chaos workload, verified against a fault-free reference.
 
     One power-law (preferential-attachment) reachability workload — bulk
@@ -873,223 +530,127 @@ def run_chaos(
       exceed the supervisor budget on purpose; the row shows the run
       *finishing* with stale-tagged views instead of crashing.
     """
-    import tempfile
-
-    from repro.chaos.parity import verify_process_parity, verify_sim_parity
-    from repro.chaos.plan import ChaosPlan
-    from repro.workloads.chaos import generate_chaos_workload
-
     workload = generate_chaos_workload(config.chaos_links, seed=config.chaos_seed)
-    chaos_plan = ChaosPlan.profile(config.chaos_profile, seed=config.chaos_seed)
-    rows: List[Row] = []
-    for scheme in schemes:
-        row = _base_row(
-            "chaos", scheme, backend="sim", links=workload.total_links
-        )
-        try:
-            report = verify_sim_parity(
-                reachability_plan(),
-                scheme,
-                chaos_plan,
-                workload,
-                node_count=config.node_count,
-                max_events=config.max_events,
-            )
-        except SimulationBudgetExceeded:
-            row.update({"parity_passed": False, "converged": False})
-            rows.append(row)
-            continue
-        row.update(report.as_row())
-        rows.append(row)
-
-    # Real SIGKILLs on the process backend, same fault-free reference.
-    kill_plan = ChaosPlan.profile("kill", seed=config.chaos_seed)
-    row = _base_row(
-        "chaos", schemes[0], backend="process", links=workload.total_links
+    profile = partial(ChaosPlan.profile, seed=config.chaos_seed)
+    sim = {"backend": "sim", "links": workload.total_links}
+    first = CHAOS_SCHEMES[:1]
+    sim_parity = partial(_parity, verify_sim_parity, profile(config.chaos_profile), workload)
+    yield Point(sim, step=sim_parity)
+    yield Point(
+        {"backend": "process", "links": workload.total_links},
+        schemes=first,
+        step=partial(_process_parity, profile("kill"), workload),
     )
-    with tempfile.TemporaryDirectory(prefix="chaos-wal-") as wal_dir:
-        try:
-            report = verify_process_parity(
-                reachability_plan(),
-                schemes[0],
-                kill_plan,
-                workload,
-                wal_dir=wal_dir,
-                node_count=config.node_count,
-                workers=config.workers or 3,
-                max_events=config.max_events,
-            )
-            row.update(report.as_row())
-        except (SimulationBudgetExceeded, SimulationError) as exc:
-            row.update({"parity_passed": False, "converged": False, "error": str(exc)})
-    rows.append(row)
-
-    rows.append(_run_chaos_degraded(config, schemes[0], workload))
-    return rows
-
-
-def _run_chaos_degraded(config: ExperimentConfig, scheme: str, workload) -> Row:
-    """The graceful-degradation row: budget exhaustion serves stale views."""
-    from repro.chaos.executor import chaos_executor
-    from repro.chaos.parity import apply_workload, schedule_chaos
-    from repro.chaos.plan import ChaosPlan
-
-    plan = ChaosPlan.profile("degraded", seed=config.chaos_seed)
-    executor = chaos_executor(
-        reachability_plan(),
-        scheme,
-        chaos_plan=plan,
-        node_count=config.node_count,
-        max_events=config.max_events,
-        max_wall_seconds=config.max_wall_seconds,
-    )
-    row = _base_row("chaos", scheme, backend="sim", links=workload.total_links)
     # Degradation needs no reference horizon; scale the storm onto a guess
     # (the workload converges well past it either way).
-    schedule_chaos(executor, plan, horizon=1.0)
-    try:
-        apply_workload(executor, workload)
-    except SimulationBudgetExceeded:
-        return _censored_row(row, executor)
-    view, staleness = executor.view_with_staleness()
-    row.update(executor.chaos_stats())
-    row.update(
-        {
-            "parity_passed": "(n/a: degraded by design)",
-            "view_size": len(view),
-            "stale_partitions": len(staleness),
-            "stale_since": [round(info.since, 4) for info in staleness.values()],
-            "converged": True,
-        }
-    )
-    return row
+    degraded = profile("degraded")
+    storm = partial(schedule_chaos, chaos_plan=degraded, horizon=1.0)
+    phases = [
+        Phase(label, inserts, deletes, before=storm if index == 0 else None)
+        for index, (label, inserts, deletes) in enumerate(workload.phases())
+    ]
+    options = {"kind": chaos_executor, "chaos_plan": degraded}
+    yield Point(sim, phases, options=options, schemes=first, rows=_degraded_rows)
 
 
 # ---------------------------------------------------------------------------
-# Ablations (beyond the paper's figures)
+# Ablations and the batch-throughput comparison (beyond the paper's figures)
 # ---------------------------------------------------------------------------
 
-def run_ablation_minship_batch(
-    config: ExperimentConfig = DEFAULT_CONFIG,
-    batch_sizes: Sequence[int] = (1, 5, 25, 100),
-) -> List[Row]:
+def _ablation_minship(config: ExperimentConfig) -> Iterator[Point]:
     """How the MinShip batching window trades bandwidth against freshness (Section 5)."""
-    topology = _topology(config, dense=True)
-    links = topology.link_tuples()
-    rows: List[Row] = []
-    for batch_size in batch_sizes:
-        strategy = ExecutionStrategy.absorption_eager(batch_size=batch_size)
-        executor = build_executor(
-            reachability_plan(),
-            strategy,
-            node_count=config.node_count,
-            max_events=config.max_events,
-            max_wall_seconds=config.max_wall_seconds,
-            experiment="ablation-minship",
+    links = _topology(config).link_tuples()
+    for batch_size in MINSHIP_BATCH_SIZES:
+        yield Point(
+            {"batch_size": batch_size},
+            [Phase("insert", links, after=lambda executor, phase, detail: {})],
+            schemes=(ExecutionStrategy.absorption_eager(batch_size=batch_size),),
         )
-        row = _base_row("ablation-minship", strategy.label, batch_size=batch_size)
-        try:
-            phase = executor.insert_edges(links, label="insert")
-        except SimulationBudgetExceeded:
-            rows.append(_censored_row(row, executor))
-            continue
-        rows.append(
-            _metric_row(
-                row,
-                per_tuple_provenance=phase.per_tuple_provenance_bytes,
-                communication_mb=phase.communication_mb,
-                state_mb=phase.state_mb,
-                convergence_s=phase.convergence_time_s,
-            )
-        )
-    return rows
 
 
-def run_ablation_provenance_encoding(
-    config: ExperimentConfig = DEFAULT_CONFIG,
-) -> List[Row]:
+def _encoding_rows(executor, row: Row) -> List[Row]:
     """BDD vs minimised sum-of-products encoding sizes for the same provenance."""
-    from repro.bdd.expr import BoolExpr
-
-    topology = _topology(config, dense=True)
-    links = topology.link_tuples()
-    executor = _executor(reachability_plan(), "Absorption Lazy", config)
-    executor.insert_edges(links, label="insert")
-    bdd_total = 0
-    dnf_total = 0
-    tuples = 0
+    bdd_total = dnf_total = tuples = 0
     for node in executor.nodes:
         for view_tuple in node.fixpoint.view_tuples():
             annotation = node.fixpoint.annotation_of(view_tuple)
             bdd_total += annotation.size_bytes()
             dnf_total += BoolExpr.from_products(annotation.iter_products()).size_bytes()
             tuples += 1
-    rows = [
+    return [
         {
-            "figure": "ablation-encoding",
-            "encoding": "BDD (reduced ordered)",
+            "figure": row["figure"],
+            "encoding": encoding,
             "tuples": tuples,
-            "total_KB": round(bdd_total / 1000.0, 3),
-            "mean_per_tuple_B": round(bdd_total / max(tuples, 1), 2),
-        },
-        {
-            "figure": "ablation-encoding",
-            "encoding": "minimised sum-of-products",
-            "tuples": tuples,
-            "total_KB": round(dnf_total / 1000.0, 3),
-            "mean_per_tuple_B": round(dnf_total / max(tuples, 1), 2),
-        },
+            "total_KB": round(total / 1000.0, 3),
+            "mean_per_tuple_B": round(total / max(tuples, 1), 2),
+        }
+        for encoding, total in (
+            ("BDD (reduced ordered)", bdd_total),
+            ("minimised sum-of-products", dnf_total),
+        )
     ]
-    return rows
 
 
-def run_ablation_centralized_maintenance(
-    config: ExperimentConfig = DEFAULT_CONFIG,
-) -> List[Row]:
+def _ablation_encoding(config: ExperimentConfig) -> Iterator[Point]:
+    yield Point(phases=[Phase("insert", _topology(config).link_tuples())])
+
+
+def _centralized_rows(executor, row: Row) -> List[Row]:
     """Distributed incremental maintenance vs centralized recomputation per deletion."""
-    topology = _topology(config, dense=True)
-    links = topology.link_tuples()
-    deletions = deletion_sample(links, 0.2, seed=config.seed)
-
-    executor = _executor(reachability_plan(), "Absorption Lazy", config)
-    executor.insert_edges(links, label="preload")
+    phase = executor.metrics.phases[-1]
     start = time.perf_counter()
-    phase = executor.delete_edges(deletions, label="delete")
-    incremental_wall = time.perf_counter() - start
-
-    evaluator = CentralizedRecursiveEvaluator(reachability_plan())
-    live = [l for l in links if l not in set(deletions)]
-    start = time.perf_counter()
-    recomputed = evaluator.evaluate(live)
+    recomputed = CentralizedRecursiveEvaluator(executor.plan).evaluate(executor.live_edges)
     recompute_wall = time.perf_counter() - start
     assert {t.values for t in recomputed} == executor.view_values()
 
+    def approach(name, communication_mb, convergence_s, wall_seconds, view_size) -> Row:
+        return {
+            "figure": row["figure"],
+            "approach": name,
+            "deletions": row["deletions"],
+            "communication_MB": communication_mb,
+            "convergence_time_s": convergence_s,
+            "wall_seconds": round(wall_seconds, 3),
+            "view_size": view_size,
+        }
+
     return [
-        {
-            "figure": "ablation-centralized",
-            "approach": "distributed incremental (Absorption Lazy)",
-            "deletions": len(deletions),
-            "communication_MB": round(phase.communication_mb, 6),
-            "convergence_time_s": round(phase.convergence_time_s, 6),
-            "wall_seconds": round(incremental_wall, 3),
-            "view_size": phase.view_size,
-        },
-        {
-            "figure": "ablation-centralized",
-            "approach": "centralized recompute from scratch",
-            "deletions": len(deletions),
-            "communication_MB": 0.0,
-            "convergence_time_s": float("nan"),
-            "wall_seconds": round(recompute_wall, 3),
-            "view_size": len(recomputed),
-        },
+        approach(
+            f"distributed incremental ({row['scheme']})", round(phase.communication_mb, 6),
+            round(phase.convergence_time_s, 6), phase.wall_seconds, phase.view_size,
+        ),
+        approach(
+            "centralized recompute from scratch", 0.0, float("nan"), recompute_wall,
+            len(recomputed),
+        ),
     ]
 
 
-def run_batch_throughput(
-    config: ExperimentConfig = DEFAULT_CONFIG,
-    schemes: Sequence[str] = ("Absorption Lazy", "Absorption Eager"),
-) -> List[Row]:
+def _ablation_centralized(config: ExperimentConfig) -> Iterator[Point]:
+    links = _topology(config).link_tuples()
+    deletions = deletion_sample(links, 0.2, seed=config.seed)
+    yield Point(
+        {"deletions": len(deletions)},
+        [Phase("preload", links, measured=False), Phase("delete", edge_deletes=deletions)],
+    )
+
+
+def _throughput_columns(before: Dict[str, object], executor, phase, detail) -> Row:
+    after = executor.store.cache_stats()
+    stats = executor.network.stats
+    return {
+        "bdd_apply_ops": (after["apply_calls"] - before["apply_calls"])
+        + (after["restrict_calls"] - before["restrict_calls"]),
+        "purge_messages": stats.message_counts_by_port.get("purge", 0),
+        "messages": stats.total_messages,
+        "coalesced_deliveries": executor.network.coalesced_deliveries,
+        "wall_seconds": round(sum(p.wall_seconds for p in executor.metrics.phases), 3),
+        "view_size": phase.view_size,
+    }
+
+
+def _batch_throughput(config: ExperimentConfig) -> Iterator[Point]:
     """Batch-first pipeline vs tuple-at-a-time on the figure-11/12 workload.
 
     Runs each scheme twice over the largest figure-11/12 dense topology —
@@ -1111,73 +672,97 @@ def run_batch_throughput(
     identical final views.
     """
     budget = max(config.link_budgets)
-    topology = topology_with_link_budget(budget, dense=True, seed=config.seed)
-    links = topology.link_tuples()
+    links = topology_with_link_budget(budget, dense=True, seed=config.seed).link_tuples()
     deletions = deletion_sample(links, config.batch_deletion_ratio, seed=config.seed)
-    policies = (
-        ("batched", _batch_policy(config)),
-        ("tuple-at-a-time", BatchPolicy.tuple_at_a_time()),
+    pipelines = (
+        ("batched", {}),
+        ("tuple-at-a-time", {"batch_policy": BatchPolicy.tuple_at_a_time()}),
     )
-    rows: List[Row] = []
-    for scheme in schemes:
-        for pipeline, policy in policies:
-            executor = _executor(
-                reachability_plan(), scheme, config, batch_policy=policy
+    for scheme in BATCH_SCHEMES:
+        for pipeline, options in pipelines:
+            before: Dict[str, object] = {}
+            delete = Phase(
+                "delete", edge_deletes=deletions,
+                before=lambda executor, before=before: before.update(executor.store.cache_stats()),
+                after=partial(_throughput_columns, before),
             )
-            row = _base_row(
-                "batch-throughput",
-                scheme,
-                pipeline=pipeline,
-                links=len(links),
-                deletions=len(deletions),
+            yield Point(
+                {"pipeline": pipeline, "links": len(links), "deletions": len(deletions)},
+                [Phase("preload", links, measured=False), delete],
+                options=options,
+                schemes=(scheme,),
             )
-            wall_start = time.perf_counter()
-            try:
-                executor.insert_edges(links, label="preload")
-                before = executor.store.cache_stats()
-                phase = executor.delete_edges(deletions, label="delete")
-            except SimulationBudgetExceeded:
-                rows.append(_censored_row(row, executor))
-                continue
-            after = executor.store.cache_stats()
-            stats = executor.network.stats
-            rows.append(
-                _metric_row(
-                    row,
-                    per_tuple_provenance=phase.per_tuple_provenance_bytes,
-                    communication_mb=phase.communication_mb,
-                    state_mb=phase.state_mb,
-                    convergence_s=phase.convergence_time_s,
-                    bdd_apply_ops=(
-                        (after["apply_calls"] - before["apply_calls"])
-                        + (after["restrict_calls"] - before["restrict_calls"])
-                    ),
-                    purge_messages=stats.message_counts_by_port.get("purge", 0),
-                    messages=stats.total_messages,
-                    coalesced_deliveries=executor.network.coalesced_deliveries,
-                    wall_seconds=round(time.perf_counter() - wall_start, 3),
-                    view_size=phase.view_size,
-                )
-            )
-    return rows
+
+
+# ---------------------------------------------------------------------------
+# The table
+# ---------------------------------------------------------------------------
+
+#: Every experiment the harness runs, in ``all`` order.
+EXPERIMENTS: Dict[str, Experiment] = {
+    "figure7": Experiment(
+        "reachable view, insertion-ratio sweep", _figure7, INSERTION_SCHEMES,
+        rows="cumulative", provenance="run", explainable=True,
+    ),
+    "figure8": Experiment(
+        "reachable view, deletion-ratio sweep", _figure8, DELETION_SCHEMES,
+        rows="cumulative", explainable=True,
+    ),
+    "figure9": Experiment(
+        "region query, insertion-ratio sweep", _figure9, REGION_SCHEMES,
+        plan=region_plan, rows="cumulative", provenance="run",
+    ),
+    "figure10": Experiment(
+        "region query, deletion-ratio sweep", _figure10, REGION_SCHEMES,
+        plan=region_plan, rows="cumulative",
+    ),
+    "figure11": Experiment(
+        "scaling links, insertions (dense vs sparse)", _figure11, SCALING_SCHEMES,
+        explainable=True,
+    ),
+    "figure12": Experiment(
+        "scaling links, deleting 20% (dense vs sparse)", _figure12, SCALING_SCHEMES,
+        explainable=True,
+    ),
+    "figure13": Experiment(
+        "scaling query-processor nodes", _figure13, PROCESSOR_SCHEMES,
+        provenance="run", explainable=True,
+    ),
+    "figure14": Experiment(
+        "aggregate selections on the path query", _figure14, ("Absorption Lazy",),
+        plan=shortest_path_plan,
+    ),
+    "churn": Experiment(
+        "node crashes mid-stream: recovery-policy comparison", _churn, ("Absorption Lazy",),
+    ),
+    "chaos": Experiment(
+        "seeded fault injection (links, storms, kills) gated by parity", _chaos, CHAOS_SCHEMES,
+    ),
+    "batch-throughput": Experiment(
+        "batch-first pipeline vs tuple-at-a-time (BDD ops, purge messages)",
+        _batch_throughput, BATCH_SCHEMES,
+    ),
+    "elastic": Experiment(
+        "scale a running cluster N -> 2N -> N mid-stream (moved state, misroutes)",
+        _elastic, ("Absorption Eager",), provenance="run",
+    ),
+    "ablation-minship": Experiment("MinShip batch-size sweep", _ablation_minship),
+    "ablation-encoding": Experiment(
+        "BDD vs sum-of-products provenance encoding", _ablation_encoding,
+        ("Absorption Lazy",), rows=_encoding_rows,
+    ),
+    "ablation-centralized": Experiment(
+        "distributed incremental vs centralized recompute", _ablation_centralized,
+        ("Absorption Lazy",), rows=_centralized_rows,
+    ),
+}
 
 
 # ---------------------------------------------------------------------------
 # Explain: derivation provenance of one view tuple (the --explain path)
 # ---------------------------------------------------------------------------
 
-#: Experiments whose workload the explain driver can rebuild deterministically
-#: (all reachability-plan figures sharing the transit-stub topology).
-_EXPLAINABLE_PLANS = {
-    "figure7": reachability_plan,
-    "figure8": reachability_plan,
-    "figure11": reachability_plan,
-    "figure12": reachability_plan,
-    "figure13": reachability_plan,
-}
-
-
-def run_explain(
+def explain(
     config: ExperimentConfig = DEFAULT_CONFIG,
     target: str = "auto",
     experiment: str = "figure7",
@@ -1192,15 +777,13 @@ def run_explain(
     first view tuple (handy for smoke tests).  Works on whichever backend the
     config selects; the process backend aggregates per-worker answers.
     """
-    plan_factory = _EXPLAINABLE_PLANS.get(experiment)
-    if plan_factory is None:
-        raise SystemExit(
-            f"--explain supports {sorted(_EXPLAINABLE_PLANS)}; got {experiment!r}"
-        )
-    topology = _topology(config, dense=True)
-    executor = _executor(plan_factory(), scheme, config)
+    entry = EXPERIMENTS.get(experiment)
+    if entry is None or not entry.explainable:
+        explainable = sorted(name for name, e in EXPERIMENTS.items() if e.explainable)
+        raise SystemExit(f"--explain supports {explainable}; got {experiment!r}")
+    executor = build_executor_for(config, entry.plan(), scheme, experiment)
     try:
-        executor.insert_edges(topology.link_tuples(), label="explain-load")
+        executor.apply_mixed(_topology(config).link_tuples(), label="explain-load")
         if target == "auto":
             view = executor.view()
             if not view:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
-from typing import Dict, Iterable, List, Sequence
+from typing import Dict, List, Sequence
 
 Row = Dict[str, object]
 
@@ -68,40 +68,3 @@ def rows_to_csv(rows: Sequence[Row]) -> str:
     for row in rows:
         writer.writerow([_render(row.get(column, "")) for column in columns])
     return buffer.getvalue()
-
-
-def print_figure(rows: Sequence[Row], title: str) -> None:
-    """Print a figure's table to stdout (used by benchmarks and examples)."""
-    print()
-    print(format_rows(rows, title=title))
-    print()
-
-
-def format_kernel_stats(stats: Dict[str, object], label: str = "") -> str:
-    """One-line rendering of annotation-kernel telemetry.
-
-    Accepts either a :meth:`repro.bdd.manager.BDDManager.gc_stats` mapping or
-    the flattened ``kernel_*`` columns of a phase row; used for ad-hoc
-    diagnostics.  A part whose key is absent is left out: a ``gc_stats()``
-    mapping has no phase clock, and ``routing=0.0000s`` for it would report a
-    measurement nobody took.
-    """
-    # (label, accepted key names, format)
-    layout = (
-        ("table", ("table_size", "kernel_table_size"), "{}"),
-        ("peak", ("peak_table_size", "kernel_peak_table"), "{}"),
-        ("reclaimed", ("nodes_reclaimed", "kernel_reclaimed"), "{}"),
-        ("gc_passes", ("gc_passes", "kernel_gc_passes"), "{}"),
-        ("gc_pause", ("gc_pause_s", "kernel_gc_pause_s"), "{:.4f}s"),
-        ("kernel", ("kernel_time_s",), "{:.4f}s"),
-        ("routing", ("routing_time_s",), "{:.4f}s"),
-        ("operator", ("operator_time_s",), "{:.4f}s"),
-        ("net", ("net_time_s",), "{:.4f}s"),
-    )
-    parts = []
-    for name, keys, fmt in layout:
-        key = next((key for key in keys if key in stats), None)
-        if key is not None:
-            parts.append(f"{name}=" + fmt.format(stats[key]))
-    prefix = f"{label}: " if label else ""
-    return prefix + " ".join(parts)

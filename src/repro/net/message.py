@@ -15,7 +15,7 @@ class Message:
 
     ``port`` names the receiving operator on the destination node (for
     example ``"fixpoint"`` or ``"join.link"``), mirroring how the paper's
-    query plan wires DistributedScan / MinShip outputs to remote operators.
+    query plan wires the base scan / MinShip outputs to remote operators.
 
     ``size_bytes`` is the wire size computed by the sender: tuple payloads
     plus the encoded provenance annotations.  It is what the communication-

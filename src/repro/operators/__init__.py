@@ -7,22 +7,16 @@
 * :class:`~repro.operators.ship.MinShipOperator` / ``ShipOperator`` —
   Algorithm 3: provenance-buffering ship operator with eager and lazy modes;
 * :class:`~repro.operators.aggsel.AggregateSelection` — Algorithm 4: aggregate
-  selection over update streams (MIN/MAX/COUNT/SUM), multi-aggregate capable;
-* :class:`~repro.operators.aggregate.GroupByAggregate` — windowed group-by
-  aggregation used for the final view definitions (minCost, regionSizes, ...);
-* :mod:`repro.operators.relalg` — selection / projection / union /
-  duplicate-elimination building blocks;
-* :class:`~repro.operators.scan.DistributedScan` — routes base-relation
-  updates to the operators that consume them (Figure 4's table scans).
+  selection over update streams (MIN/MAX/COUNT/SUM), multi-aggregate capable.
+
+Figure 4's table scan is inlined in
+:meth:`repro.engine.runtime.ProcessorNode._handle_base_batch`.
 """
 
-from repro.operators.aggregate import AggregateFunction, GroupByAggregate
 from repro.operators.aggsel import AggregateSelection, AggregateSpec
 from repro.operators.base import Operator, OperatorStats
 from repro.operators.fixpoint import FixpointOperator
 from repro.operators.join import PipelinedHashJoin
-from repro.operators.relalg import DuplicateElimination, Projection, Selection, UnionOperator
-from repro.operators.scan import DistributedScan, RoutedUpdate
 from repro.operators.ship import MinShipOperator, ShipMode, ShipOperator
 
 __all__ = [
@@ -35,12 +29,4 @@ __all__ = [
     "ShipMode",
     "AggregateSelection",
     "AggregateSpec",
-    "AggregateFunction",
-    "GroupByAggregate",
-    "Selection",
-    "Projection",
-    "UnionOperator",
-    "DuplicateElimination",
-    "DistributedScan",
-    "RoutedUpdate",
 ]

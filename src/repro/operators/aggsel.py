@@ -61,12 +61,6 @@ class AggregateSpec:
             return self.value(candidate) < self.value(incumbent)
         return self.value(candidate) > self.value(incumbent)
 
-    def not_worse(self, candidate: Tuple, incumbent: Tuple) -> bool:
-        """True when ``candidate`` ties or beats ``incumbent``."""
-        if self.kind is AggregateFunctionKind.MIN:
-            return self.value(candidate) <= self.value(incumbent)
-        return self.value(candidate) >= self.value(incumbent)
-
 
 class AggregateSelection:
     """The AggSel module of Algorithm 4 (embeddable in Fixpoint and MinShip)."""

@@ -28,7 +28,6 @@ from typing import Any, Callable, Dict, Hashable, Iterable, List, Optional, Sequ
 from repro.data.batch import group_by_tuple, split_runs
 from repro.data.tuples import Tuple
 from repro.data.update import Update, UpdateType
-from repro.data.window import SlidingWindow
 from repro.operators.base import Operator, annotation_state_bytes
 from repro.provenance.tracker import ProvenanceStore
 
@@ -49,15 +48,14 @@ class _JoinSide:
     iterate matches in deterministic order with no per-probe sort.
     """
 
-    __slots__ = ("key_fn", "by_key", "provenance", "window")
+    __slots__ = ("key_fn", "by_key", "provenance")
 
-    def __init__(self, key_fn: Callable[[Tuple], Any], window: Optional[SlidingWindow]) -> None:
+    def __init__(self, key_fn: Callable[[Tuple], Any]) -> None:
         self.key_fn = key_fn
         #: ``h``: join-key -> list of tuples with that key, sorted by identity.
         self.by_key: Dict[Any, List[Tuple]] = {}
         #: ``p``: tuple -> provenance annotation.
         self.provenance: Dict[Tuple, object] = {}
-        self.window = window
 
     def add(self, tuple_: Tuple) -> None:
         key = self.key_fn(tuple_)
@@ -85,8 +83,6 @@ class _JoinSide:
     def state_bytes(self, store: ProvenanceStore) -> int:
         total = sum(t.size_bytes() for t in self.provenance)
         total += annotation_state_bytes(store, self.provenance.values())
-        if self.window is not None:
-            total += self.window.state_bytes()
         return total
 
 
@@ -103,12 +99,10 @@ class PipelinedHashJoin(Operator):
         left_key: Callable[[Tuple], Any],
         right_key: Callable[[Tuple], Any],
         combine: Combiner,
-        left_window: Optional[SlidingWindow] = None,
-        right_window: Optional[SlidingWindow] = None,
     ) -> None:
         super().__init__(name, store)
-        self._left = _JoinSide(left_key, left_window)
-        self._right = _JoinSide(right_key, right_window)
+        self._left = _JoinSide(left_key)
+        self._right = _JoinSide(right_key)
         self._combine = combine
 
     # -- public entry points ----------------------------------------------------
@@ -156,17 +150,8 @@ class PipelinedHashJoin(Operator):
         never interact — each only mutates its own hash-table entry and reads
         the *other* side — so grouping is order-safe; the INS/DEL run
         boundaries, which do carry meaning, are preserved.
-
-        Windowed sides fall back to update-at-a-time processing: window
-        expirations are driven per arrival timestamp and must interleave with
-        the updates exactly as they would have tuple-at-a-time.
         """
-        if mine.window is not None:
-            outputs: List[Update] = []
-            for update in updates:
-                outputs.extend(self._process_side(update, mine, other, left_is_update))
-            return outputs
-        outputs = []
+        outputs: List[Update] = []
         for is_insert, run in split_runs(updates):
             for tuple_, items in group_by_tuple(run).items():
                 if is_insert:
@@ -246,13 +231,9 @@ class PipelinedHashJoin(Operator):
         other: _JoinSide,
         left_is_update: bool,
     ) -> List[Update]:
-        outputs: List[Update] = []
         if update.is_insert:
-            outputs.extend(self._half_pipe_ins(update, mine, other, left_is_update))
-        else:
-            outputs.extend(self._half_pipe_del(update, mine, other, left_is_update))
-        outputs.extend(self._apply_window(update, mine, other, left_is_update))
-        return outputs
+            return self._half_pipe_ins(update, mine, other, left_is_update)
+        return self._half_pipe_del(update, mine, other, left_is_update)
 
     def _half_pipe_ins(
         self, update: Update, mine: _JoinSide, other: _JoinSide, left_is_update: bool
@@ -341,23 +322,6 @@ class PipelinedHashJoin(Operator):
             )
         return outputs
 
-    # -- windows (tuple expirations, Section 4.3.3) -----------------------------------------
-    def _apply_window(
-        self, update: Update, mine: _JoinSide, other: _JoinSide, left_is_update: bool
-    ) -> List[Update]:
-        if mine.window is None:
-            return []
-        outputs: List[Update] = []
-        for expiration in mine.window.observe(update):
-            expired = Update(
-                UpdateType.DEL,
-                expiration.tuple,
-                provenance=mine.provenance.get(expiration.tuple),
-                timestamp=expiration.expired_at,
-            )
-            outputs.extend(self._half_pipe_del(expired, mine, other, left_is_update))
-        return outputs
-
     # -- broadcast deletions --------------------------------------------------------------------
     def purge_base(self, base_keys: Iterable[Hashable]) -> List[Update]:
         """Zero out deleted base tuples in both sides' provenance tables."""
@@ -418,13 +382,7 @@ class PipelinedHashJoin(Operator):
 
     # -- durability (checkpoint / recovery support) -------------------------------------------------
     def export_state(self, encode) -> Dict[str, object]:
-        """Capture both sides' provenance tables (``hR``/``hS`` are rebuilt on import).
-
-        Windowed joins buffer expiration schedules keyed on virtual time;
-        snapshotting them is not supported (no current plan uses windows).
-        """
-        if self._left.window is not None or self._right.window is not None:
-            raise NotImplementedError("snapshot of windowed join state is not supported")
+        """Capture both sides' provenance tables (``hR``/``hS`` are rebuilt on import)."""
         return {
             "left": {t: encode(pv) for t, pv in self._left.provenance.items()},
             "right": {t: encode(pv) for t, pv in self._right.provenance.items()},

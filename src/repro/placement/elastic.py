@@ -52,10 +52,10 @@ class ElasticExecutor(DistributedViewExecutor):
         placement: Optional[PlacementMap] = None,
         **kwargs: object,
     ) -> None:
-        if plan.has_aggregate_selection or plan.edge_window is not None:
+        if plan.has_aggregate_selection:
             raise PlacementError(
-                "elastic migration does not support aggregate selections or "
-                "windowed joins yet (their operator state is not key-sliceable)"
+                "elastic migration does not support aggregate selections yet "
+                "(their operator state is not key-sliceable)"
             )
         if placement is None:
             placement = PlacementMap(

@@ -157,12 +157,6 @@ class ConsistentHashRing:
         self._set_membership(node, weight)
         self._rebuild()
 
-    def weight_of(self, node: int) -> int:
-        """Current virtual-node count of ``node``."""
-        if node not in self._weights:
-            raise RingError(f"node {node} is not on the ring")
-        return self._weights[node]
-
     def weights(self) -> Dict[int, int]:
         """Current per-node virtual-node counts."""
         return dict(self._weights)

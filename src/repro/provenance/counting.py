@@ -7,9 +7,8 @@ paper points out (Section 3.2) that this scheme is unsound for recursive
 views — a tuple can keep a positive count purely through derivations that
 (transitively) depend on itself.  We implement it anyway because:
 
-* the centralized Datalog substrate uses it for non-recursive strata, and
-* tests demonstrate the recursive unsoundness explicitly, which documents why
-  the paper needs absorption provenance.
+tests demonstrate the recursive unsoundness explicitly, which documents why
+the paper needs absorption provenance.
 """
 
 from __future__ import annotations
@@ -45,9 +44,9 @@ class CountingProvenanceStore(ProvenanceStore):
     def remove_base(self, annotation: int, base_keys: Iterable[Hashable]) -> int:
         """Counting cannot selectively remove a base tuple from a count.
 
-        Deletion handling for counting is done by propagating *negative*
-        deltas through the plan (see :mod:`repro.datalog.incremental`), so at
-        the annotation level this is the identity.
+        Counting-based maintenance handles deletions by propagating
+        *negative* deltas through the plan, so at the annotation level this
+        is the identity.
         """
         return annotation
 

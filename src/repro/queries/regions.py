@@ -83,12 +83,6 @@ def region_sizes(memberships: Iterable[Tuple]) -> Dict[Any, int]:
     return {region: len(sensors) for region, sensors in members.items()}
 
 
-def largest_region_size(memberships: Iterable[Tuple]) -> int:
-    """``largestRegion(max(size))``: the size of the largest region (0 if none)."""
-    sizes = region_sizes(memberships)
-    return max(sizes.values()) if sizes else 0
-
-
 def largest_regions(memberships: Iterable[Tuple]) -> List[Any]:
     """``largestRegions(rid)``: every region achieving the maximum size."""
     memberships = list(memberships)

@@ -5,6 +5,8 @@ fraction of the base tuples has been inserted so far — Figures 7, 9, 11) and a
 *deletion ratio* (what fraction of the inserted tuples is subsequently deleted
 — Figures 8, 10, 12).  These helpers derive deterministic, seeded prefixes and
 samples from a base-tuple list so every scheme sees exactly the same workload.
+The schedules work on any item sequence: the region figures stage sensor ids
+and turn each batch into base tuples with the sensor workload.
 """
 
 from __future__ import annotations
@@ -49,15 +51,12 @@ class UpdateSchedule:
     @staticmethod
     def staged_insertions(tuples: Sequence[Tuple], ratios: Iterable[float]) -> "UpdateSchedule":
         """Insert growing prefixes: each batch adds the tuples new at that ratio."""
-        batches: List[PyTuple[Tuple, ...]] = []
-        previous = 0
-        for ratio in ratios:
-            count = round(len(tuples) * ratio)
-            if count < previous:
-                raise ValueError("insertion ratios must be non-decreasing")
-            batches.append(tuple(tuples[previous:count]))
-            previous = count
-        return UpdateSchedule(insert_batches=tuple(batches), delete_batches=())
+        return UpdateSchedule(insert_batches=_prefix_batches(tuples, ratios), delete_batches=())
+
+    @staticmethod
+    def staged_deletions(tuples: Sequence[Tuple], ratios: Iterable[float]) -> "UpdateSchedule":
+        """Delete growing prefixes of already-inserted ``tuples``, in their order."""
+        return UpdateSchedule(insert_batches=(), delete_batches=_prefix_batches(tuples, ratios))
 
     @staticmethod
     def insert_then_delete(
@@ -88,3 +87,18 @@ class UpdateSchedule:
     def total_deletions(self) -> int:
         """Total number of tuples deleted across batches."""
         return sum(len(batch) for batch in self.delete_batches)
+
+
+def _prefix_batches(
+    tuples: Sequence[Tuple], ratios: Iterable[float]
+) -> PyTuple[PyTuple[Tuple, ...], ...]:
+    """The tuples new at each ratio when growing prefixes of ``tuples``."""
+    batches: List[PyTuple[Tuple, ...]] = []
+    previous = 0
+    for ratio in ratios:
+        count = round(len(tuples) * ratio)
+        if count < previous:
+            raise ValueError("schedule ratios must be non-decreasing")
+        batches.append(tuple(tuples[previous:count]))
+        previous = count
+    return tuple(batches)

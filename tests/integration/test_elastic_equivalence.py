@@ -241,9 +241,9 @@ class TestElasticExecutorApi:
 
 def test_harness_elastic_experiment_reports_required_metrics():
     from repro.harness.config import QUICK_CONFIG
-    from repro.harness.experiments import run_elastic_scaling
+    from repro.harness import run
 
-    rows = run_elastic_scaling(QUICK_CONFIG)
+    rows = run("elastic", QUICK_CONFIG)
     by_phase = {row["phase"]: row for row in rows if "phase" in row}
     assert {"static", "scale-out", "scale-in"} <= set(by_phase)
     for phase in ("scale-out", "scale-in"):

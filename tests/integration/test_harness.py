@@ -1,23 +1,43 @@
 """Smoke tests of the experiment harness and report formatting.
 
-The full per-figure sweeps live in ``benchmarks/``; these tests only check
-that the drivers produce well-formed rows at the smallest scale and that the
-report helpers render them.
+The full per-figure sweeps live in ``benchmarks/``; these tests check that
+the table's entries produce well-formed rows at the smallest scale, that the
+one runner hands every configuration knob to every executor it builds, and
+that the report helpers render the rows.
 """
 
-from repro.harness import (
-    format_rows,
-    rows_to_csv,
-    run_ablation_centralized_maintenance,
-    run_ablation_provenance_encoding,
-    run_figure13,
-)
+import pytest
+
+from repro.data.batch import BatchPolicy
+from repro.engine.executor import DistributedViewExecutor
+from repro.harness import EXPERIMENTS, format_rows, rows_to_csv, run
 from repro.harness.config import QUICK_CONFIG, ExperimentConfig
 
 METRIC_COLUMNS = {"per_tuple_provenance_B", "communication_MB", "state_MB", "convergence_time_s"}
 
+#: The smallest workloads every entry accepts, with both knobs off their
+#: defaults so an entry that ignores them is caught.
+TINY_KNOBS = ExperimentConfig(
+    node_count=3,
+    nodes_per_stub=1,
+    stubs_per_transit=1,
+    insertion_ratios=(1.0,),
+    deletion_ratios=(1.0,),
+    link_budgets=(20,),
+    processor_counts=(3,),
+    sensor_field_side=20.0,
+    hotspot_spokes=4,
+    hotspot_extra_links=4,
+    chaos_links=12,
+    # Relative Eager on figure 7 blows up even here: cut it off early.
+    max_events=100_000,
+    max_wall_seconds=3.0,
+    batch_size=1,
+    bdd_gc_threshold=0.5,
+)
 
-def test_figure13_driver_produces_rows_per_processor_count():
+
+def test_figure13_entry_produces_rows_per_processor_count():
     config = ExperimentConfig(
         node_count=4,
         nodes_per_stub=2,
@@ -25,7 +45,7 @@ def test_figure13_driver_produces_rows_per_processor_count():
         processor_counts=(2, 4),
         max_wall_seconds=60.0,
     )
-    rows = run_figure13(config)
+    rows = run("figure13", config)
     assert {row["processors"] for row in rows} == {2, 4}
     assert {row["scheme"] for row in rows} == {"DRed", "Absorption Lazy"}
     for row in rows:
@@ -33,14 +53,32 @@ def test_figure13_driver_produces_rows_per_processor_count():
         assert row["converged"]
 
 
+@pytest.mark.parametrize("name", list(EXPERIMENTS))
+def test_every_built_executor_takes_the_config_knobs(name, monkeypatch):
+    built = []
+    construct = DistributedViewExecutor.__init__
+
+    def recording(self, *args, **kwargs):
+        construct(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(DistributedViewExecutor, "__init__", recording)
+    assert run(name, TINY_KNOBS)
+    assert built
+    for executor in built:
+        assert executor.batch_policy == BatchPolicy.tuple_at_a_time(), executor
+        if executor.strategy.provenance_kind == "absorption":
+            assert executor.strategy.store_options["gc_threshold"] == 0.5, executor
+
+
 def test_provenance_encoding_ablation_rows():
-    rows = run_ablation_provenance_encoding(QUICK_CONFIG)
+    rows = run("ablation-encoding", QUICK_CONFIG)
     assert len(rows) == 2
     assert all(row["mean_per_tuple_B"] > 0 for row in rows)
 
 
 def test_centralized_ablation_views_agree():
-    rows = run_ablation_centralized_maintenance(QUICK_CONFIG)
+    rows = run("ablation-centralized", QUICK_CONFIG)
     assert len({row["view_size"] for row in rows}) == 1
 
 

@@ -1,4 +1,4 @@
-"""Unit tests for schemas, tuples, updates, relations, streams and windows."""
+"""Unit tests for schemas, tuples, updates and relations."""
 
 import pytest
 
@@ -6,9 +6,7 @@ from repro.data import (
     PartitionedRelation,
     Relation,
     Schema,
-    SlidingWindow,
     Update,
-    UpdateStream,
     UpdateType,
 )
 from repro.data.relation import stable_hash
@@ -220,84 +218,3 @@ class TestPartitionedRelation:
     def test_stable_hash_deterministic(self):
         assert stable_hash("A") == stable_hash("A")
         assert stable_hash("A") != stable_hash("B")
-
-
-class TestUpdateStream:
-    def test_append_and_len(self, link_schema, link):
-        stream = UpdateStream()
-        stream.insert(link, timestamp=1.0)
-        stream.delete(link, timestamp=2.0)
-        assert len(stream) == 2
-        assert stream[0].is_insert and stream[1].is_delete
-
-    def test_filters(self, link_schema, link):
-        stream = UpdateStream([insert(link), delete(link)])
-        assert len(stream.insertions()) == 1
-        assert len(stream.deletions()) == 1
-
-    def test_sorted_by_time(self, link_schema):
-        t1 = link_schema.tuple("A", "B", 1)
-        t2 = link_schema.tuple("B", "C", 1)
-        stream = UpdateStream([insert(t1, timestamp=5.0), insert(t2, timestamp=1.0)])
-        ordered = stream.sorted_by_time()
-        assert ordered[0].tuple == t2
-
-    def test_split_and_concat(self, link_schema, link):
-        stream = UpdateStream([insert(link, timestamp=1.0), delete(link, timestamp=9.0)])
-        before, after = stream.split_at(5.0)
-        assert len(before) == 1 and len(after) == 1
-        assert len(before.concat(after)) == 2
-
-    def test_net_tuples(self, link_schema):
-        t1 = link_schema.tuple("A", "B", 1)
-        t2 = link_schema.tuple("B", "C", 1)
-        stream = UpdateStream([insert(t1), insert(t2), delete(t1)])
-        assert stream.net_tuples() == {t2}
-
-
-class TestSlidingWindow:
-    def test_unbounded_never_expires(self, link):
-        window = SlidingWindow(None)
-        assert window.observe(insert(link, timestamp=0.0)) == []
-        assert window.expire(1e9) == []
-
-    def test_expiry_after_size(self, link):
-        window = SlidingWindow(10.0)
-        window.observe(insert(link, timestamp=0.0))
-        assert window.expire(5.0) == []
-        expired = window.expire(10.0)
-        assert len(expired) == 1
-        assert expired[0].tuple == link
-
-    def test_observe_triggers_expiry_of_older_tuples(self, link_schema):
-        window = SlidingWindow(5.0)
-        old = link_schema.tuple("A", "B", 1)
-        new = link_schema.tuple("B", "C", 1)
-        window.observe(insert(old, timestamp=0.0))
-        expired = window.observe(insert(new, timestamp=50.0))
-        assert [e.tuple for e in expired] == [old]
-        assert new in window
-
-    def test_explicit_delete_removes_bookkeeping(self, link):
-        window = SlidingWindow(5.0)
-        window.observe(insert(link, timestamp=0.0))
-        window.observe(delete(link, timestamp=1.0))
-        assert window.expire(100.0) == []
-
-    def test_reinsertion_restarts_lifetime(self, link):
-        window = SlidingWindow(5.0)
-        window.observe(insert(link, timestamp=0.0))
-        window.observe(insert(link, timestamp=4.0))
-        assert window.expire(5.0) == []
-        expired = window.expire(9.0)
-        assert len(expired) == 1
-
-    def test_invalid_size(self):
-        with pytest.raises(ValueError):
-            SlidingWindow(0)
-
-    def test_state_bytes(self, link):
-        window = SlidingWindow(5.0)
-        window.observe(insert(link, timestamp=0.0))
-        assert window.state_bytes() > 0
-        assert len(window) == 1

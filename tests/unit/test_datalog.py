@@ -3,14 +3,10 @@
 import pytest
 
 from repro.datalog import (
-    AggregateView,
     Atom,
     Condition,
-    CountingMaintenance,
     DatalogSyntaxError,
-    DRedMaintenance,
     Program,
-    ProvenanceMaintenance,
     Rule,
     SemiNaiveEvaluator,
     StratificationError,
@@ -18,9 +14,7 @@ from repro.datalog import (
     parse_rule,
     stratify,
 )
-from repro.datalog.aggregates import AggregateKind
 from repro.datalog.ast import Constant, Variable, atom
-from repro.datalog.incremental import MaintenanceError
 from repro.datalog.stratify import dependency_graph, recursive_predicates
 from repro.provenance.semiring import BooleanSemiring, WhySemiring
 
@@ -211,91 +205,3 @@ class TestSemiNaive:
         program = Program([Rule(head=atom("alwaysOn", Constant("s1")), body=())])
         evaluator = SemiNaiveEvaluator(program)
         assert evaluator.evaluate({})["alwaysOn"] == {("s1",)}
-
-
-class TestIncrementalMaintenance:
-    def test_counting_rejects_recursion(self):
-        with pytest.raises(MaintenanceError):
-            CountingMaintenance(parse_program(REACHABLE_PROGRAM))
-
-    def test_counting_non_recursive(self):
-        program = parse_program("twoHop(x, z) :- link(x, y), link(y, z).")
-        counting = CountingMaintenance(program)
-        counting.insert("link", ("a", "b"))
-        counting.insert("link", ("b", "c"))
-        assert counting.facts("twoHop") == {("a", "c")}
-        counting.delete("link", ("a", "b"))
-        assert counting.facts("twoHop") == set()
-
-    def test_counting_rejects_idb_updates(self):
-        program = parse_program("twoHop(x, z) :- link(x, y), link(y, z).")
-        counting = CountingMaintenance(program)
-        with pytest.raises(MaintenanceError):
-            counting.insert("twoHop", ("a", "c"))
-
-    def test_dred_maintains_reachable(self):
-        dred = DRedMaintenance(parse_program(REACHABLE_PROGRAM))
-        for fact in TRIANGLE_EDB["link"]:
-            dred.insert("link", fact)
-        nodes = {"a", "b", "c"}
-        assert dred.facts("reachable") == {(x, y) for x in nodes for y in nodes}
-        dred.delete("link", ("c", "b"))
-        # Still fully connected without link(c,b) — but DRed over-deleted a lot.
-        assert dred.facts("reachable") == {(x, y) for x in nodes for y in nodes}
-        assert dred.last_overdeleted > 0
-        assert dred.last_rederived > 0
-
-    def test_provenance_maintenance_matches_recomputation(self):
-        maintenance = ProvenanceMaintenance(parse_program(REACHABLE_PROGRAM))
-        for fact in TRIANGLE_EDB["link"]:
-            maintenance.insert("link", fact)
-        maintenance.delete("link", ("c", "b"))
-        evaluator = SemiNaiveEvaluator(parse_program(REACHABLE_PROGRAM))
-        expected = evaluator.evaluate(
-            {"link": TRIANGLE_EDB["link"] - {("c", "b")}}
-        )["reachable"]
-        assert maintenance.facts("reachable") == expected
-
-    def test_provenance_of_fact(self):
-        maintenance = ProvenanceMaintenance(parse_program(REACHABLE_PROGRAM))
-        maintenance.insert("link", ("a", "b"))
-        expr = maintenance.provenance_of("reachable", ("a", "b"))
-        assert expr is not None and not expr.is_false()
-        assert maintenance.provenance_of("reachable", ("z", "z")) is None
-
-    def test_deletion_of_unknown_fact_is_noop(self):
-        maintenance = ProvenanceMaintenance(parse_program(REACHABLE_PROGRAM))
-        maintenance.insert("link", ("a", "b"))
-        maintenance.delete("link", ("x", "y"))
-        assert maintenance.facts("reachable") == {("a", "b")}
-
-
-class TestAggregates:
-    def test_count_aggregate(self):
-        view = AggregateView("regionSizes", "activeRegion", (1,), AggregateKind.COUNT)
-        database = {"activeRegion": {("s1", "r1"), ("s2", "r1"), ("s3", "r2")}}
-        assert view.evaluate(database) == {("r1", 2), ("r2", 1)}
-
-    def test_min_and_max(self):
-        database = {"path": {("a", "b", 5), ("a", "b", 3), ("a", "c", 7)}}
-        min_view = AggregateView("minCost", "path", (0, 1), AggregateKind.MIN, value_position=2)
-        max_view = AggregateView("maxCost", "path", (0, 1), AggregateKind.MAX, value_position=2)
-        assert min_view.evaluate(database) == {("a", "b", 3), ("a", "c", 7)}
-        assert max_view.evaluate(database) == {("a", "b", 5), ("a", "c", 7)}
-
-    def test_sum_and_avg(self):
-        database = {"reading": {("s1", 10), ("s1", 20), ("s2", 5)}}
-        total = AggregateView("total", "reading", (0,), AggregateKind.SUM, value_position=1)
-        average = AggregateView("avg", "reading", (0,), AggregateKind.AVG, value_position=1)
-        assert total.evaluate(database) == {("s1", 30), ("s2", 5)}
-        assert average.evaluate(database) == {("s1", 15), ("s2", 5)}
-
-    def test_requires_value_position(self):
-        with pytest.raises(ValueError):
-            AggregateView("minCost", "path", (0,), AggregateKind.MIN)
-
-    def test_evaluate_into(self):
-        view = AggregateView("sizes", "activeRegion", (1,), AggregateKind.COUNT)
-        database = {"activeRegion": {("s1", "r1")}}
-        view.evaluate_into(database)
-        assert database["sizes"] == {("r1", 1)}

@@ -2,16 +2,23 @@
 
 import pytest
 
-from repro.harness.cli import EXPERIMENTS, main
+from repro.harness import EXPERIMENTS
+from repro.harness.cli import main
 from repro.harness.config import DEFAULT_CONFIG, PAPER_SCALE_CONFIG, QUICK_CONFIG
-from repro.bdd import BDDManager
-from repro.engine.metrics import KernelPhaseStats
-from repro.harness.report import (
-    format_kernel_stats,
-    format_rows,
-    print_figure,
-    rows_to_csv,
-)
+from repro.harness.report import format_rows, rows_to_csv
+
+
+@pytest.fixture()
+def captured_config(monkeypatch):
+    """Replace the runner the CLI calls; returns the configs it was handed."""
+    configs = []
+
+    def fake_run(name, config):
+        configs.append(config)
+        return [{"figure": name, "ok": 1}]
+
+    monkeypatch.setattr("repro.harness.cli.run", fake_run)
+    return configs
 
 
 class TestConfig:
@@ -37,32 +44,6 @@ class TestReport:
         csv_text = rows_to_csv(rows)
         assert csv_text.splitlines()[0] == "a,b"
 
-    def test_print_figure(self, capsys):
-        print_figure([{"a": 1}], title="demo title")
-        captured = capsys.readouterr().out
-        assert "demo title" in captured
-
-
-    def test_kernel_stats_from_a_manager_omit_the_phase_clock(self):
-        # gc_stats() has no routing/operator/net keys: zeros there would be
-        # measurements nobody took.
-        line = format_kernel_stats(BDDManager().gc_stats(), label="bdd-kernel")
-        assert line.startswith("bdd-kernel: table=2 peak=2 reclaimed=0 gc_passes=0 gc_pause=0.0000s")
-        assert line.endswith("kernel=0.0000s")
-        for absent in ("routing=", "operator=", "net="):
-            assert absent not in line
-
-    def test_kernel_stats_from_a_phase_row_render_every_bucket(self):
-        row = KernelPhaseStats(
-            table_size=10, peak_table_size=12, nodes_reclaimed=3, gc_passes=1,
-            gc_pause_s=0.5, kernel_time_s=1.25, routing_time_s=0.125,
-            operator_time_s=0.75, net_time_s=0.0625,
-        ).as_row()
-        assert format_kernel_stats(row) == (
-            "table=10 peak=12 reclaimed=3 gc_passes=1 gc_pause=0.5000s "
-            "kernel=1.2500s routing=0.1250s operator=0.7500s net=0.0625s"
-        )
-
 
 class TestCli:
     def test_list_option(self, capsys):
@@ -80,8 +61,31 @@ class TestCli:
 
     def test_registry_matches_drivers(self):
         assert set(EXPERIMENTS) >= {f"figure{n}" for n in range(7, 15)}
-        for driver, description in EXPERIMENTS.values():
-            assert callable(driver) and description
+        for entry in EXPERIMENTS.values():
+            assert callable(entry.points) and entry.description
+            assert entry.rows in ("cumulative", "phase", "point") or callable(entry.rows)
+            assert entry.provenance in ("run", "last")
+
+    def test_all_runs_every_entry_in_table_order(self, captured_config, capsys):
+        assert main(["--quick", "all"]) == 0
+        output = capsys.readouterr().out
+        titles = [f"{name}: {entry.description}" for name, entry in EXPERIMENTS.items()]
+        positions = [output.index(title) for title in titles]
+        assert positions == sorted(positions)
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--churn-downtime", "1.5"], "--churn-downtime must be a fraction within (0, 1)"),
+            (["--churn-cycles", "-1"], "--churn-cycles must be >= 0"),
+            (["--checkpoint-interval", "-3"], "--checkpoint-interval must be >= 0"),
+        ],
+    )
+    def test_malformed_churn_flags_end_in_one_line(self, flags, message, captured_config):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--quick", *flags, "churn"])
+        assert str(exit_info.value).startswith(message)
+        assert captured_config == []
 
     def test_runs_quick_experiment_and_writes_csv(self, tmp_path, capsys):
         exit_code = main(["--quick", "--csv-dir", str(tmp_path), "ablation-encoding"])
@@ -94,45 +98,18 @@ class TestCli:
 
 
 class TestBatchingFlags:
-    def test_batch_size_override(self, monkeypatch, capsys):
-        captured = {}
-
-        def fake_driver(config):
-            captured["config"] = config
-            return [{"figure": "batch-throughput", "ok": 1}]
-
-        monkeypatch.setitem(
-            EXPERIMENTS, "batch-throughput", (fake_driver, "test stub")
-        )
+    def test_batch_size_override(self, captured_config):
         assert main(["--quick", "--batch-size", "7", "batch-throughput"]) == 0
-        assert captured["config"].batch_size == 7
+        assert captured_config[0].batch_size == 7
 
-    def test_no_batching_flag(self, monkeypatch):
-        captured = {}
-
-        def fake_driver(config):
-            captured["config"] = config
-            return [{"figure": "batch-throughput"}]
-
-        monkeypatch.setitem(
-            EXPERIMENTS, "batch-throughput", (fake_driver, "test stub")
-        )
+    def test_no_batching_flag(self, captured_config):
         assert main(["--quick", "--no-batching", "batch-throughput"]) == 0
-        assert captured["config"].batch_size == 1
-        assert "tuple-at-a-time" in captured["config"].describe()
+        assert captured_config[0].batch_size == 1
+        assert "tuple-at-a-time" in captured_config[0].describe()
 
-    def test_batch_ports_parsed(self, monkeypatch):
-        captured = {}
-
-        def fake_driver(config):
-            captured["config"] = config
-            return [{"figure": "batch-throughput"}]
-
-        monkeypatch.setitem(
-            EXPERIMENTS, "batch-throughput", (fake_driver, "test stub")
-        )
+    def test_batch_ports_parsed(self, captured_config):
         assert main(["--quick", "--batch-ports", "view,purge", "batch-throughput"]) == 0
-        assert captured["config"].batch_ports == ("view", "purge")
+        assert captured_config[0].batch_ports == ("view", "purge")
 
     def test_invalid_batch_size_rejected(self):
         with pytest.raises(SystemExit):
@@ -150,28 +127,14 @@ class TestElasticFlags:
     def test_registry_has_elastic(self):
         assert "elastic" in EXPERIMENTS
 
-    def test_per_node_and_virtual_nodes_flags(self, monkeypatch):
-        captured = {}
-
-        def fake_driver(config):
-            captured["config"] = config
-            return [{"figure": "elastic"}]
-
-        monkeypatch.setitem(EXPERIMENTS, "elastic", (fake_driver, "test stub"))
+    def test_per_node_and_virtual_nodes_flags(self, captured_config):
         assert main(["--quick", "--per-node", "--virtual-nodes", "16", "elastic"]) == 0
-        assert captured["config"].per_node is True
-        assert captured["config"].virtual_nodes == 16
+        assert captured_config[0].per_node is True
+        assert captured_config[0].virtual_nodes == 16
 
-    def test_per_node_defaults_off(self, monkeypatch):
-        captured = {}
-
-        def fake_driver(config):
-            captured["config"] = config
-            return [{"figure": "elastic"}]
-
-        monkeypatch.setitem(EXPERIMENTS, "elastic", (fake_driver, "test stub"))
+    def test_per_node_defaults_off(self, captured_config):
         assert main(["--quick", "elastic"]) == 0
-        assert captured["config"].per_node is False
+        assert captured_config[0].per_node is False
 
     def test_invalid_virtual_nodes_rejected(self):
         with pytest.raises(SystemExit):

@@ -471,17 +471,17 @@ class TestCliObservability:
         assert "wrote trace" in output and "wrote metrics" in output
 
     def test_fig_alias(self, monkeypatch, capsys):
-        from repro.harness.cli import EXPERIMENTS, main
+        from repro.harness.cli import main
 
-        called = {}
+        called = []
 
-        def fake_driver(config):
-            called["ran"] = True
+        def fake_run(name, config):
+            called.append(name)
             return [{"figure": "11"}]
 
-        monkeypatch.setitem(EXPERIMENTS, "figure11", (fake_driver, "stub"))
+        monkeypatch.setattr("repro.harness.cli.run", fake_run)
         assert main(["--quick", "fig11"]) == 0
-        assert called.get("ran") is True
+        assert called == ["figure11"]
 
     def test_fig_alias_does_not_shadow_unknown(self):
         from repro.harness.cli import main

@@ -4,32 +4,22 @@ import pytest
 
 from repro.data.tuples import make_schema
 from repro.data.update import Update, UpdateType, delete, insert
-from repro.data.window import SlidingWindow
 from repro.operators import (
-    AggregateFunction,
     AggregateSelection,
     AggregateSpec,
-    DistributedScan,
-    DuplicateElimination,
     FixpointOperator,
-    GroupByAggregate,
     MinShipOperator,
     PipelinedHashJoin,
-    Projection,
-    Selection,
     ShipMode,
     ShipOperator,
 )
-from repro.net.partition import HashPartitioner
 from repro.operators.aggsel import AggregateFunctionKind
-from repro.operators.scan import ScanRoute
 from repro.provenance import AbsorptionProvenanceStore
 from repro.provenance.tracker import NullProvenanceStore
 
 LINK = make_schema("link", ["src", "dst"])
 REACH = make_schema("reachable", ["src", "dst"])
 PATH = make_schema("path", ["src", "dst", "cost", "length"])
-SIZE = make_schema("size", ["region", "count"])
 
 
 @pytest.fixture()
@@ -179,28 +169,6 @@ class TestPipelinedHashJoin:
         out = join.process_left(delete(LINK.tuple("A", "B")))
         assert len(out) == 1
         assert out[0].is_delete and out[0].tuple == REACH.tuple("A", "C")
-
-    def test_window_expiration_generates_deletions(self, store):
-        join = PipelinedHashJoin(
-            "join",
-            store,
-            left_key=lambda t: t["dst"],
-            right_key=lambda t: t["src"],
-            combine=lambda edge, view: REACH.tuple(edge["src"], view["dst"]),
-            left_window=SlidingWindow(10.0),
-        )
-        join.process_left(
-            insert(LINK.tuple("A", "B"), provenance=pv(store, "p1"), timestamp=0.0)
-        )
-        join.process_right(
-            insert(REACH.tuple("B", "C"), provenance=pv(store, "p2"), timestamp=1.0)
-        )
-        out = join.process_left(
-            insert(LINK.tuple("X", "Y"), provenance=pv(store, "p3"), timestamp=100.0)
-        )
-        deletes = [u for u in out if u.is_delete]
-        assert any(u.tuple == REACH.tuple("A", "C") for u in deletes)
-        assert LINK.tuple("A", "B") not in join.left_tuples()
 
     def test_clear_left(self, store):
         join = self._join(store)
@@ -373,160 +341,3 @@ class TestAggregateSelection:
         aggsel.process(insert(PATH.tuple("A", "B", 5, 2), provenance=pv(store, "p1")))
         out = aggsel.process(insert(PATH.tuple("A", "B", 9, 3), provenance=pv(store, "p2")))
         assert any(u.is_insert and u.tuple["cost"] == 9 for u in out)
-
-
-class TestGroupByAggregate:
-    def _schema(self):
-        return SIZE
-
-    def test_count(self):
-        agg = GroupByAggregate(
-            "sizes", SIZE, ["region"], AggregateFunction.COUNT, value_attribute=None
-        )
-        member = make_schema("activeRegion", ["sensor", "region"])
-        agg.process(insert(member.tuple("s1", "r1")))
-        out = agg.process(insert(member.tuple("s2", "r1")))
-        assert any(u.is_insert and u.tuple["count"] == 2 for u in out)
-        assert agg.value_for("r1") == 2
-
-    def test_min_with_deletion(self):
-        out_schema = make_schema("minCost", ["src", "cost"])
-        agg = GroupByAggregate(
-            "min", out_schema, ["src"], AggregateFunction.MIN, value_attribute="cost"
-        )
-        path = make_schema("path", ["src", "cost"])
-        agg.process(insert(path.tuple("A", 5)))
-        agg.process(insert(path.tuple("A", 3)))
-        assert agg.value_for("A") == 3
-        out = agg.process(delete(path.tuple("A", 3)))
-        assert any(u.is_insert and u.tuple["cost"] == 5 for u in out)
-
-    def test_sum_and_avg(self):
-        sum_schema = make_schema("total", ["src", "total"])
-        agg = GroupByAggregate(
-            "sum", sum_schema, ["src"], AggregateFunction.SUM, value_attribute="cost"
-        )
-        path = make_schema("path", ["src", "cost"])
-        agg.process(insert(path.tuple("A", 5)))
-        agg.process(insert(path.tuple("A", 3)))
-        assert agg.value_for("A") == 8
-
-        avg_schema = make_schema("avg", ["src", "avg"])
-        avg = GroupByAggregate(
-            "avg", avg_schema, ["src"], AggregateFunction.AVG, value_attribute="cost"
-        )
-        avg.process(insert(path.tuple("A", 5)))
-        avg.process(insert(path.tuple("A", 3)))
-        assert avg.value_for("A") == 4
-
-    def test_group_emptied_emits_delete(self):
-        out_schema = make_schema("minCost", ["src", "cost"])
-        agg = GroupByAggregate(
-            "min", out_schema, ["src"], AggregateFunction.MIN, value_attribute="cost"
-        )
-        path = make_schema("path", ["src", "cost"])
-        agg.process(insert(path.tuple("A", 5)))
-        out = agg.process(delete(path.tuple("A", 5)))
-        assert len(out) == 1 and out[0].is_delete
-        assert agg.value_for("A") is None
-
-    def test_delete_of_unknown_value_ignored(self):
-        out_schema = make_schema("minCost", ["src", "cost"])
-        agg = GroupByAggregate(
-            "min", out_schema, ["src"], AggregateFunction.MIN, value_attribute="cost"
-        )
-        path = make_schema("path", ["src", "cost"])
-        assert agg.process(delete(path.tuple("A", 5))) == []
-
-    def test_requires_value_attribute(self):
-        with pytest.raises(ValueError):
-            GroupByAggregate("bad", SIZE, ["region"], AggregateFunction.MIN)
-
-    def test_output_schema_arity_check(self):
-        bad = make_schema("bad", ["region", "x", "y"])
-        with pytest.raises(ValueError):
-            GroupByAggregate("bad", bad, ["region"], AggregateFunction.COUNT)
-
-    def test_results_and_state(self):
-        agg = GroupByAggregate(
-            "sizes", SIZE, ["region"], AggregateFunction.COUNT, value_attribute=None
-        )
-        member = make_schema("activeRegion", ["sensor", "region"])
-        agg.process(insert(member.tuple("s1", "r1")))
-        assert len(agg.results()) == 1
-        assert agg.state_bytes() > 0
-
-
-class TestRelationalOperators:
-    def test_selection(self, store):
-        select = Selection("sel", store, lambda t: t["dst"] == "B")
-        assert len(select.process(insert(LINK.tuple("A", "B")))) == 1
-        assert select.process(insert(LINK.tuple("A", "C"))) == []
-        assert select.state_bytes() == 0
-
-    def test_projection_merges_provenance(self, store):
-        out_schema = make_schema("src_only", ["src"])
-        project = Projection("proj", store, out_schema, ["src"])
-        first = project.process(insert(LINK.tuple("A", "B"), provenance=pv(store, "p1")))
-        assert len(first) == 1
-        second = project.process(insert(LINK.tuple("A", "C"), provenance=pv(store, "p2")))
-        assert len(second) == 1  # new derivation of the same projected tuple
-        third = project.process(insert(LINK.tuple("A", "B"), provenance=pv(store, "p1")))
-        assert third == []
-        assert project.current_tuples() == [out_schema.tuple("A")]
-
-    def test_projection_purge(self, store):
-        out_schema = make_schema("src_only", ["src"])
-        project = Projection("proj", store, out_schema, ["src"])
-        project.process(insert(LINK.tuple("A", "B"), provenance=pv(store, "p1")))
-        dead = project.purge_base(["p1"])
-        assert len(dead) == 1 and dead[0].is_delete
-
-    def test_duplicate_elimination(self, store):
-        dedup = DuplicateElimination("dedup", store)
-        assert len(dedup.process(insert(LINK.tuple("A", "B"), provenance=pv(store, "p1")))) == 1
-        assert dedup.process(insert(LINK.tuple("A", "B"), provenance=pv(store, "p1"))) == []
-
-    def test_dedup_set_semantics_delete(self):
-        store = NullProvenanceStore()
-        dedup = DuplicateElimination("dedup", store)
-        dedup.process(insert(LINK.tuple("A", "B")))
-        out = dedup.process(delete(LINK.tuple("A", "B")))
-        assert len(out) == 1 and out[0].is_delete
-
-
-class TestDistributedScan:
-    def test_routes_base_and_edge_copies(self, store):
-        partitioner = HashPartitioner(4)
-        scan = DistributedScan(
-            "scan",
-            store,
-            partitioner,
-            routes=[
-                ScanRoute(port="view", partition_attribute="src",
-                          transform=lambda t: REACH.tuple(t["src"], t["dst"])),
-                ScanRoute(port="edge", partition_attribute="dst"),
-            ],
-        )
-        routed = scan.route(insert(LINK.tuple("A", "B")))
-        assert len(routed) == 2
-        ports = {r.port for r in routed}
-        assert ports == {"view", "edge"}
-        view_route = next(r for r in routed if r.port == "view")
-        assert view_route.update.tuple.relation == "reachable"
-        assert view_route.node == partitioner.node_for("A")
-
-    def test_transform_can_skip_route(self, store):
-        partitioner = HashPartitioner(2)
-        scan = DistributedScan(
-            "scan",
-            store,
-            partitioner,
-            routes=[ScanRoute(port="view", partition_attribute="src", transform=lambda t: None)],
-        )
-        assert scan.route(insert(LINK.tuple("A", "B"))) == []
-        assert scan.process(insert(LINK.tuple("A", "B"))) == []
-
-    def test_requires_routes(self, store):
-        with pytest.raises(ValueError):
-            DistributedScan("scan", store, HashPartitioner(2), routes=[])

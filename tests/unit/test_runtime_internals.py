@@ -71,12 +71,12 @@ class TestPurgeHandling:
             reachable("A", "B"),
             provenance=executor.store.base_annotation(deleted_variable),
         )
-        assert node_b._filter_stale(stale) is None
         fresh = insert(
             reachable("A", "C"),
             provenance=executor.store.base_annotation((link("A", "C").key, 0)),
         )
-        assert node_b._filter_stale(fresh) is fresh
+        admitted = node_b._filter_stale_batch([stale, fresh])
+        assert len(admitted) == 1 and admitted[0] is fresh
 
     def test_state_accounting_covers_all_operators(self):
         executor = make_executor()

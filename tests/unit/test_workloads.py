@@ -184,6 +184,14 @@ class TestUpdateSchedules:
         assert schedule.total_insertions == 10
         assert schedule.total_deletions == 4
 
+    def test_staged_deletions(self):
+        order = [f"s{i}" for i in range(8)]
+        schedule = UpdateSchedule.staged_deletions(order, [0.5, 1.0])
+        assert schedule.insert_batches == ()
+        assert schedule.delete_batches == (tuple(order[:4]), tuple(order[4:]))
+        with pytest.raises(ValueError):
+            UpdateSchedule.staged_deletions(order, [1.0, 0.5])
+
 
 class TestHotspotWorkload:
     def test_deterministic_in_seed(self):

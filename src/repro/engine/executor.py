@@ -81,9 +81,12 @@ class DistributedViewExecutor:
         self._dred = DRedCoordinator(
             self.network, self.nodes, self.partitioner, batch_policy=self.batch_policy
         )
-        #: Live base state, needed by DRed re-derivation and by ground-truth checks.
-        self.live_edges: Set[Tuple] = set()
-        self.live_seeds: Set[Tuple] = set()
+        #: Live base state, needed by DRed re-derivation and by ground-truth
+        #: checks.  Insertion-ordered (dicts used as ordered sets): DRed
+        #: re-derives in this order, and a set's order would vary with the
+        #: interpreter's hash seed.
+        self.live_edges: Dict[Tuple, None] = {}
+        self.live_seeds: Dict[Tuple, None] = {}
         self.metrics = ExperimentMetrics(experiment=experiment, scheme=strategy.label)
         #: Unified registry over the run's live stat objects (lazy probes:
         #: nothing is read until a snapshot is taken).
@@ -419,8 +422,8 @@ class DistributedViewExecutor:
         # insertions are already applied but not yet folded into
         # ``live_edges``/``live_seeds`` (that happens at phase end), so they
         # must count as live here or re-derivation misses them.
-        remaining_edges = (self.live_edges | set(phase_edge_inserts)) - set(edge_deletes)
-        remaining_seeds = (self.live_seeds | set(phase_seed_inserts)) - set(seed_deletes)
+        remaining_edges = _ordered_difference(self.live_edges, phase_edge_inserts, edge_deletes)
+        remaining_seeds = _ordered_difference(self.live_seeds, phase_seed_inserts, seed_deletes)
         self._dred.rederive(
             remaining_edges,
             remaining_seeds,
@@ -456,10 +459,13 @@ class DistributedViewExecutor:
         seed_inserts: Sequence[Tuple],
         seed_deletes: Sequence[Tuple],
     ) -> None:
-        self.live_edges.update(edge_inserts)
-        self.live_edges.difference_update(edge_deletes)
-        self.live_seeds.update(seed_inserts)
-        self.live_seeds.difference_update(seed_deletes)
+        for live, inserts, deletes in (
+            (self.live_edges, edge_inserts, edge_deletes),
+            (self.live_seeds, seed_inserts, seed_deletes),
+        ):
+            live.update(dict.fromkeys(inserts))
+            for tuple_ in deletes:
+                live.pop(tuple_, None)
 
     def _collect_phase(
         self,
@@ -625,3 +631,11 @@ class DistributedViewExecutor:
             f"DistributedViewExecutor(plan={self.plan.name!r}, scheme={self.strategy.label!r}, "
             f"nodes={self.network.node_count})"
         )
+
+
+def _ordered_difference(
+    live: Dict[Tuple, None], inserted: Sequence[Tuple], deleted: Sequence[Tuple]
+) -> List[Tuple]:
+    """``live`` plus ``inserted`` minus ``deleted``, in insertion order."""
+    deleted = set(deleted)
+    return [t for t in {**live, **dict.fromkeys(inserted)} if t not in deleted]

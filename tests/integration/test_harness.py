@@ -6,6 +6,12 @@ one runner hands every configuration knob to every executor it builds, and
 that the report helpers render the rows.
 """
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.data.batch import BatchPolicy
@@ -69,6 +75,33 @@ def test_every_built_executor_takes_the_config_knobs(name, monkeypatch):
         assert executor.batch_policy == BatchPolicy.tuple_at_a_time(), executor
         if executor.strategy.provenance_kind == "absorption":
             assert executor.strategy.store_options["gc_threshold"] == 0.5, executor
+
+
+def test_rows_do_not_depend_on_the_hash_seed():
+    # DRed re-derives per owner in policy-sized chunks; a small batch size
+    # makes that chunking depend on the order the live edges come out in.
+    script = (
+        "import json\n"
+        "from repro.harness import run\n"
+        "from repro.harness.config import ExperimentConfig\n"
+        "config = ExperimentConfig(node_count=4, nodes_per_stub=2, stubs_per_transit=2,\n"
+        "                          processor_counts=(2, 4), batch_size=4)\n"
+        "print(json.dumps(run('figure13', config)))\n"
+    )
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    outputs = [
+        subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=300,
+        ).stdout
+        for seed in ("1", "2")
+    ]
+    assert json.loads(outputs[0])
+    assert outputs[0] == outputs[1]
 
 
 def test_provenance_encoding_ablation_rows():

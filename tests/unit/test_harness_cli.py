@@ -87,6 +87,21 @@ class TestCli:
         assert str(exit_info.value).startswith(message)
         assert captured_config == []
 
+    @pytest.mark.parametrize("downtime", ["0", "1"])
+    def test_churn_downtime_interval_is_open(self, downtime, captured_config):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--quick", "--churn-downtime", downtime, "churn"])
+        assert str(exit_info.value).startswith("--churn-downtime must be a fraction")
+        assert captured_config == []
+
+    def test_churn_flags_reach_the_config(self, captured_config):
+        flags = ["--churn-cycles", "0", "--churn-downtime", "0.5", "--checkpoint-interval", "0"]
+        assert main(["--quick", *flags, "churn"]) == 0
+        config = captured_config[0]
+        assert config.churn_cycles == 0
+        assert config.churn_downtime == 0.5
+        assert config.churn_checkpoint_interval == 0
+
     def test_runs_quick_experiment_and_writes_csv(self, tmp_path, capsys):
         exit_code = main(["--quick", "--csv-dir", str(tmp_path), "ablation-encoding"])
         assert exit_code == 0

@@ -49,7 +49,7 @@ from dataclasses import dataclass, field
 from time import perf_counter as _perf_counter
 from typing import Dict, FrozenSet, Hashable, Iterable, Iterator, List, Mapping, Optional, Set, Tuple
 
-from repro.bdd.node import FALSE, TRUE, NodeTable
+from repro.bdd.node import FALSE, TERMINAL_VAR, TRUE, NodeTable
 
 #: Estimated in-memory bytes per BDD node: variable index, low and high
 #: pointers plus hash-table overhead.  Used for the "per-tuple provenance
@@ -294,8 +294,14 @@ class BDDManager:
     """Creates variables and performs hash-consed BDD operations.
 
     Variables are identified by arbitrary hashable *names* (the provenance
-    layer uses base-tuple keys); the manager assigns each a position in the
-    global variable order in creation order.
+    layer uses base-tuple keys).  Each sits at a *level*, an int below
+    ``TERMINAL_VAR`` that the kernel compares with ``<``.  Levels are sparse:
+    a variable declared with a ``rank`` takes the rank as its level, so
+    managers that agree on ranks agree on the relative order of every
+    variable they share, in whatever order they learn them, and a variable
+    declared later at a lower rank slots in between existing levels without
+    invalidating any node.  A variable declared without a rank is appended
+    below every existing level.
 
     ``gc_threshold`` is the dead-node fraction of the table that triggers a
     compaction once the table holds at least ``gc_min_table`` nodes; ``0``
@@ -348,7 +354,9 @@ class BDDManager:
         #: with every other id-keyed cache.
         self._size_cache: Dict[int, int] = {}
         self._index_by_name: Dict[Hashable, int] = {}
-        self._name_by_index: List[Hashable] = []
+        self._name_by_index: Dict[int, Hashable] = {}
+        #: The level an unranked :meth:`variable` declaration takes.
+        self._next_level = 0
         #: Canonical handles for the terminals and variables.  Terminal ids
         #: never move; variable handles are registered like any other handle,
         #: so compaction renumbers them in place.  Caching avoids a handle
@@ -379,17 +387,30 @@ class BDDManager:
         }
 
     # -- variable management ------------------------------------------------
-    def variable(self, name: Hashable) -> BDD:
-        """Return (creating if needed) the BDD for the single variable ``name``."""
+    def variable(self, name: Hashable, rank: Optional[int] = None) -> BDD:
+        """Return (creating if needed) the BDD for the single variable ``name``.
+
+        A new variable takes ``rank`` as its level, or the level below every
+        existing one when ``rank`` is ``None``.  A declared variable keeps its
+        level whatever ``rank`` a later call passes.
+        """
         handle = self._variable_handles.get(name)
         if handle is not None:
             return handle
-        index = self._index_by_name.get(name)
-        if index is None:
-            index = len(self._name_by_index)
-            self._index_by_name[name] = index
-            self._name_by_index.append(name)
-        handle = BDD(self, self._table.make(index, FALSE, TRUE))
+        if rank is None:
+            rank = self._next_level
+        if not 0 <= rank < TERMINAL_VAR:
+            raise BDDError(f"variable rank {rank} is outside [0, 2**60)")
+        if rank in self._name_by_index:
+            raise BDDError(
+                f"cannot declare {name!r} at rank {rank}: "
+                f"{self._name_by_index[rank]!r} holds it"
+            )
+        self._index_by_name[name] = rank
+        self._name_by_index[rank] = name
+        if rank >= self._next_level:
+            self._next_level = rank + 1
+        handle = BDD(self, self._table.make(rank, FALSE, TRUE))
         self._variable_handles[name] = handle
         return handle
 
@@ -402,11 +423,11 @@ class BDDManager:
         return name in self._index_by_name
 
     def name_of(self, index: int) -> Hashable:
-        """Map a variable index back to its name."""
+        """Map a variable level back to its name."""
         return self._name_by_index[index]
 
     def index_of(self, name: Hashable) -> int:
-        """Map a variable name to its order index (raises BDDError if unknown)."""
+        """Map a variable name to its level (raises BDDError if unknown)."""
         try:
             return self._index_by_name[name]
         except KeyError as exc:
@@ -660,15 +681,11 @@ class BDDManager:
     def ite(self, cond: BDD, then: BDD, otherwise: BDD) -> BDD:
         """If-then-else composition: ``(cond AND then) OR (NOT cond AND otherwise)``."""
         self._check(cond, then, otherwise)
-        result = BDD(self, self._ite(cond.node, then.node, otherwise.node))
+        positive = self._apply(_OP_AND, cond.node, then.node)
+        negative = self._apply(_OP_AND, self._negate(cond.node), otherwise.node)
+        result = BDD(self, self._apply(_OP_OR, positive, negative))
         self._maybe_collect()
         return result
-
-    def _ite(self, cond: int, then: int, otherwise: int) -> int:
-        """:meth:`ite` over raw node ids (no handle, no GC inside)."""
-        positive = self._apply(_OP_AND, cond, then)
-        negative = self._apply(_OP_AND, self._negate(cond), otherwise)
-        return self._apply(_OP_OR, positive, negative)
 
     def _terminal_apply(self, op: int, left: int, right: int) -> Optional[int]:
         """Terminal-rule result of ``op`` on ``(left, right)``, or None.
@@ -1411,39 +1428,35 @@ class BDDManager:
         return result
 
     def sat_count(self, operand: BDD) -> int:
-        """Number of satisfying assignments over all declared variables."""
+        """Number of satisfying assignments over all declared variables.
+
+        Levels are sparse, so the count runs over each level's *position*
+        among the declared levels: every position a path skips is a free
+        variable and doubles the count.
+        """
         self._check(operand)
-        total_vars = self.variable_count
-        cache: Dict[int, int] = {}
+        position = {level: index for index, level in enumerate(sorted(self._name_by_index))}
+        position[TERMINAL_VAR] = len(self._name_by_index)
         table = self._table
+        var_of = table.var_of
+        cache: Dict[int, int] = {}
 
         def count(node: int) -> int:
-            # Returns #solutions over variables strictly below `level(node)`,
-            # normalised at the end.
-            if node == FALSE:
-                return 0
-            if node == TRUE:
-                return 1
+            # Solutions over the variables at or below the node's position.
+            if node <= TRUE:
+                return node
             if node in cache:
                 return cache[node]
             var, low, high = table.triple(node)
-            low_count = count(low) << (self._gap(low) - var - 1)
-            high_count = count(high) << (self._gap(high) - var - 1)
-            result = low_count + high_count
+            below = position[var] + 1
+            result = (count(low) << (position[var_of(low)] - below)) + (
+                count(high) << (position[var_of(high)] - below)
+            )
             cache[node] = result
             return result
 
         root = operand.node
-        if root == FALSE:
-            return 0
-        if root == TRUE:
-            return 1 << total_vars
-        return count(root) << (table.var_of(root))
-
-    def _gap(self, node: int) -> int:
-        if node <= TRUE:
-            return self.variable_count
-        return self._table.var_of(node)
+        return count(root) << position[var_of(root)]
 
     def any_sat(self, operand: BDD) -> Optional[Dict[Hashable, bool]]:
         """Return one (partial) satisfying assignment keyed by variable name."""

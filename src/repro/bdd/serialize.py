@@ -5,17 +5,20 @@ that hash-consed it, so provenance annotations cannot be checkpointed (or
 shipped to another process) as-is.  This module flattens a BDD into a
 self-contained :class:`SerializedBDD` — the reachable decision nodes in
 bottom-up order, packed as ``(variable, low, high)`` triples into one
-``array('I')`` buffer, over *variable names* rather than manager-local
-indices.  The buffer pickles as a single bytes object.
+``array('I')`` buffer, over *variable names* rather than manager-local node
+ids, with each name's *rank* (its level in the source manager) alongside.
+The buffers pickle as bytes objects.
 
-Deserialization rebuilds the function bottom-up.  A node whose variable sits
-above both rebuilt children in the target manager's order is already reduced
-and ordered there, so it is hash-consed directly with ``NodeTable.make``;
-any other node is composed as ``ite(var, high, low)`` through the apply
-machinery.  That keeps round-trips safe even when the target manager declares
-its variables in a different order than the source manager did (the node ids
-differ, but the function — and therefore the absorption-provenance semantics —
-is identical).
+Levels are global ranks, not creation order (see
+:class:`~repro.bdd.manager.BDDManager`): every manager of a run puts a shared
+name at the same level.  Deserialization is therefore a relabel.  Unknown
+names are declared at their carried ranks, and every node is hash-consed
+directly with ``NodeTable.make``, already reduced and ordered in the target;
+no apply operation runs.  A known name at another level, or a node whose
+variable does not sit above both rebuilt children, means the two managers
+disagree on the order, and raises :class:`~repro.bdd.manager.BDDError`.
+Checkpoint restore, migration slices, cross-worker messages and worker-WAL
+replay all decode through this one path.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from array import array
 from dataclasses import dataclass
 from typing import Hashable, List, Tuple as PyTuple
 
-from repro.bdd.manager import BDD, BDDManager
+from repro.bdd.manager import BDD, BDDError, BDDManager
 from repro.bdd.node import FALSE, TRUE
 
 
@@ -36,11 +39,12 @@ class SerializedBDD:
     three entries per node: ``name_ref, low_ref, high_ref``.  Node references
     use a uniform encoding: ``0`` is the FALSE terminal, ``1`` the TRUE
     terminal, and ``i + 2`` refers to the ``i``-th node.  ``names`` is the
-    table of variable names in the source manager's order; ``name_ref``
-    indexes it.
+    table of variable names in level order and ``ranks`` their levels;
+    ``name_ref`` indexes both.
     """
 
     names: PyTuple[Hashable, ...]
+    ranks: array
     nodes: array
     root: int
 
@@ -50,7 +54,7 @@ class SerializedBDD:
         return len(self.nodes) // 3
 
     def __hash__(self) -> int:
-        return hash((self.names, self.nodes.tobytes(), self.root))
+        return hash((self.names, self.ranks.tobytes(), self.nodes.tobytes(), self.root))
 
 
 def serialize_bdd(bdd: BDD) -> SerializedBDD:
@@ -59,24 +63,19 @@ def serialize_bdd(bdd: BDD) -> SerializedBDD:
     The traversal holds raw node ids, which is safe because it performs no
     kernel operations: the manager's compacting GC only runs at the end of a
     public operation, so the table cannot be renumbered mid-walk.  The node
-    order is a low-first post-order of the graph, so equal functions in
-    managers with the same variable order serialize equal.
-
-    The name table is emitted in the *source manager's variable order* (not
-    traversal-discovery order), so deserialization into a fresh manager
-    declares the variables in the same relative order and every node takes
-    the direct ``make`` path.
+    order is a low-first post-order of the graph, so equal functions over the
+    same levels serialize equal.
     """
     root = bdd.node
     if root <= TRUE:
-        return SerializedBDD((), array("I"), root)
+        return SerializedBDD((), array("Q"), array("I"), root)
     manager = bdd.manager
     table = manager._table
     var_arr = table._var
     low_arr = table._low
     high_arr = table._high
     refs = {FALSE: FALSE, TRUE: TRUE}  # manager node id -> serialized reference
-    flat: List[int] = []  # (var index, low_ref, high_ref) per node
+    flat: List[int] = []  # (level, low_ref, high_ref) per node
     # The stack is always a path from the root, so no node is pushed twice.
     stack = [root]
     while stack:
@@ -92,19 +91,19 @@ def serialize_bdd(bdd: BDD) -> SerializedBDD:
         stack.pop()
         refs[node] = len(flat) // 3 + 2
         flat += (var_arr[node], low_ref, high_ref)
-    ordered = sorted(set(flat[0::3]))
-    position = {var: index for index, var in enumerate(ordered)}
-    flat[0::3] = [position[var] for var in flat[0::3]]
-    names = tuple(manager.name_of(var) for var in ordered)
-    return SerializedBDD(names, array("I", flat), refs[root])
+    levels = sorted(set(flat[0::3]))
+    position = {level: index for index, level in enumerate(levels)}
+    flat[0::3] = [position[level] for level in flat[0::3]]
+    names = tuple(manager.name_of(level) for level in levels)
+    return SerializedBDD(names, array("Q", levels), array("I", flat), refs[root])
 
 
 def deserialize_bdd(serialized: SerializedBDD, manager: BDDManager) -> BDD:
-    """Rebuild the serialized function inside ``manager``.
+    """Rebuild the serialized function inside ``manager``: a relabel, no apply.
 
-    Unknown variable names are declared on the fly, in name-table order;
-    known names reuse the manager's existing variables, so annotations
-    restored after a restart keep referring to the same base tuples.
+    Unknown variable names are declared at their carried ranks; known names
+    must already sit there, so annotations restored after a restart keep
+    referring to the same base tuples at the same place in the order.
 
     The rebuild works on raw node ids with automatic collection deferred, so
     no compaction can renumber them mid-rebuild; only the root is wrapped in a
@@ -113,22 +112,29 @@ def deserialize_bdd(serialized: SerializedBDD, manager: BDDManager) -> BDD:
     root = serialized.root
     if root <= TRUE:
         return manager.true if root == TRUE else manager.false
+    levels = serialized.ranks.tolist()
     nodes = serialized.nodes
     with manager.defer_gc():
-        variables = [manager.variable(name).node for name in serialized.names]
+        level_of = manager._index_by_name.get
+        for name, rank in zip(serialized.names, levels):
+            level = level_of(name)
+            if level is None:
+                manager.variable(name, rank)
+            elif level != rank:
+                raise BDDError(
+                    f"variable {name!r} sits at level {level} here "
+                    f"but was encoded at rank {rank}"
+                )
         table = manager._table
         var_arr = table._var
         make = table.make
-        ite = manager._ite
         built = [FALSE, TRUE]
         append = built.append
         for index in range(0, len(nodes), 3):
-            var_node = variables[nodes[index]]
+            var = levels[nodes[index]]
             low = built[nodes[index + 1]]
             high = built[nodes[index + 2]]
-            var = var_arr[var_node]
-            if var < var_arr[low] and var < var_arr[high]:
-                append(make(var, low, high))
-            else:
-                append(ite(var_node, high, low))
+            if var >= var_arr[low] or var >= var_arr[high]:
+                raise BDDError(f"encoded node at rank {var} is not above its children")
+            append(make(var, low, high))
         return BDD(manager, built[root])

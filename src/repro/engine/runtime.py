@@ -331,9 +331,15 @@ class ProcessorNode:
         return (tuple_.key, version)
 
     def _base_annotation_for(self, tuple_: Tuple) -> object:
-        """Annotation of the current incarnation of a base tuple owned here."""
+        """Annotation of the current incarnation of a base tuple owned here.
+
+        A new provenance variable is declared at the network's next variable
+        rank, which both backends derive from the serial delivery order.
+        """
         if self.strategy.uses_provenance:
-            return self.store.base_annotation(self._base_variable_key(tuple_))
+            return self.store.base_annotation(
+                self._base_variable_key(tuple_), self.network.variable_rank()
+            )
         return self.store.one()
 
     # -- base relation (edge) updates -------------------------------------------------

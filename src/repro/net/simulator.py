@@ -49,6 +49,10 @@ from repro.obs.trace import CONTROL_PID
 #: :meth:`SimulatedNetwork.send` zero or more times.
 NodeHandler = Callable[[str, Sequence[Update], float], None]
 
+#: BDD variable ranks pack as ``ordinal * RANK_STRIDE + index`` (see
+#: :func:`pack_rank`): an odd stride above any declaration count.
+RANK_STRIDE = 0x9E3779B9
+
 
 @dataclass(frozen=True)
 class _FaultEvent:
@@ -117,6 +121,19 @@ class SimulationBudgetExceeded(SimulationError):
     """
 
 
+def pack_rank(ordinal: int, index: int) -> int:
+    """The BDD variable rank of declaration ``index`` in hand-out ``ordinal``.
+
+    ``RANK_STRIDE`` exceeds any declaration count, so ranks order by event,
+    then by declaration inside the handler.  The stride is odd (Knuth's
+    multiplicative-hash constant), so ranks spread over the low bits dict and
+    set probing start from; a power-of-two stride would give every event's
+    first declaration the same low bits.  The BDD manager rejects a rank at
+    or above its terminal level (``2**60``, an ordinal of about 4.3e8).
+    """
+    return ordinal * RANK_STRIDE + index
+
+
 class SimulatedNetwork:
     """Virtual-time message-passing substrate for the distributed engine."""
 
@@ -179,6 +196,11 @@ class SimulatedNetwork:
         #: The chaos interposer, or ``None`` when chaos is off — the send
         #: path pays exactly one ``is None`` check, same contract as tracing.
         self._chaos = None
+        #: Serial hand-out ordinal of the event being handled (a delivery,
+        #: fault or control event; 0 before the first) and how many variable
+        #: ranks its handler has drawn — see :meth:`variable_rank`.
+        self._handouts = 0
+        self._ranks_drawn = 0
 
     # -- wiring -----------------------------------------------------------------
     def register(self, node: int, handler: NodeHandler) -> None:
@@ -372,6 +394,19 @@ class SimulatedNetwork:
         """Number of messages delivered so far."""
         return self._events_processed
 
+    def variable_rank(self) -> int:
+        """The rank of the next BDD variable the event being handled declares.
+
+        The loop numbers every delivery, fault event and control event as it
+        hands it out; a rank is that ordinal followed by the declaration's
+        index inside the handler, so ranks order exactly like this engine's
+        declarations.  A declaration made between events continues the last
+        event's sequence.
+        """
+        index = self._ranks_drawn
+        self._ranks_drawn = index + 1
+        return pack_rank(self._handouts, index)
+
     # -- sending ------------------------------------------------------------------
     def send(
         self,
@@ -486,6 +521,8 @@ class SimulatedNetwork:
                     if self._chaos is not None:
                         self._chaos.on_ghost(message.message, arrival)
                     continue
+                self._handouts += 1
+                self._ranks_drawn = 0
                 if isinstance(message, _FaultEvent):
                     self._apply_fault_event(message, arrival)
                 else:
@@ -520,6 +557,8 @@ class SimulatedNetwork:
                 raise SimulationError(f"no handler registered for node {dst}")
             if message.epoch < self.current_epoch:
                 self.stats.stale_epoch_messages += 1
+            self._handouts += 1
+            self._ranks_drawn = 0
             start = busy_until[dst]
             if arrival > start:
                 start = arrival

@@ -33,7 +33,9 @@ class Transport(Protocol):
       (``record_message`` / ``record_provenance``);
     * ``tracer`` — the span tracer deliveries should record against, or
       ``None`` when tracing is off;
-    * ``current_epoch`` — the placement epoch stamped onto messages.
+    * ``current_epoch`` — the placement epoch stamped onto messages;
+    * ``variable_rank`` — the global rank of the next BDD variable the
+      handled event declares.
     """
 
     stats: Any
@@ -52,4 +54,7 @@ class Transport(Protocol):
         ...
 
     def active_nodes(self) -> List[int]:
+        ...
+
+    def variable_rank(self) -> int:
         ...

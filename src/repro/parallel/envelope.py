@@ -5,7 +5,7 @@ operation, so the protocol stays picklable and versionless:
 
 Commands (coordinator → worker)::
 
-    ("deliver", delivery_id, node, port, updates, now)   # run one handler
+    ("deliver", delivery_id, node, port, updates, now, ordinal)  # run one handler
     ("flush",   rpc_id, now)                             # eager MinShip tick
     ("clear_join_left", rpc_id, node)                    # DRed re-derivation
     ("views" | "view_size" | "view_annotations" | "state_bytes"
@@ -21,6 +21,10 @@ Results (worker → coordinator, one private pipe per worker)::
     ("result", delivery_id, wid, outbox, handler_seconds, prov_bytes, prov_count)
     ("rpc",    rpc_id, wid, payload)
     ("error",  ref_id, wid, traceback_text)
+
+``ordinal`` is the delivery's serial hand-out ordinal, from which its
+handler's BDD variable ranks derive, or ``None`` when the coordinator cannot
+prove it (see :mod:`repro.parallel.scheduler`, rule 3).
 
 ``outbox`` entries are ``(src, dst, port, wire_updates, size_bytes,
 sent_at)`` — every ``network.send`` the handler performed, in call order.

@@ -55,15 +55,29 @@ keeps everything observable through three rules.
    unapplied delivery sorts *after* ``F`` would break that, so it raises
    :class:`SimulationError` instead of being assumed away.
 
-3. **Why per node suffices.**  Deliveries run on their worker in dispatch
-   order, which differs from serial order only where ``F`` overtook an
-   unknown self-send chain on another node.  Nodes share nothing but their
-   worker's BDD manager, and there only the *variable order* is observable
-   (node counts — every byte metric — are canonical given the order).
-   Variables are created only by base/seed handlers, whose injected events
-   are queued before the run, and by decoding cross-worker annotations, whose
-   messages cross a link; a zero-latency local product never creates one.
-   Every variable-creating delivery is therefore dispatched in key order.
+3. **Variable ranks.**  Deliveries run on their worker in dispatch order,
+   which differs from serial order where ``F`` overtook an unknown
+   self-send chain on another node.  Nodes share nothing but their worker's
+   BDD manager, and there only the *variable order* could show it (node
+   counts — every byte metric — are canonical given the order).  It does
+   not: every variable sits at a global rank, the serial hand-out ordinal of
+   the delivery that declared it followed by the declaration's index in the
+   handler (``SimulatedNetwork.variable_rank``), and a decoded annotation
+   declares its names at the ranks it carries.  Each worker's order is thus
+   a sub-order of the single-process manager's, in any dispatch order.
+
+   The coordinator stamps each delivery with its ordinal at dispatch: the
+   deliveries dispatched so far, minus the unapplied ones that sort after
+   it.  The count is exact when ``F`` arrives no later than the earliest
+   completion ``c_min`` of a preceding unapplied delivery: every event still
+   unknown descends from an unapplied delivery, so it arrives at or after
+   ``c_min`` with a fresh sequence number and sorts after ``F``, and no
+   delivery sorting after ``F`` can have been applied yet (rule 1).  An
+   ``F`` that may have overtaken something is dispatched without an
+   ordinal, and declaring a variable in its handler raises instead of
+   guessing.  Only base and seed handlers declare variables, and their
+   events are injected at the phase's current time, ahead of every
+   completion, so they always carry one.
 
 Faults, control events and ``run(until=...)`` are not supported on this
 backend (they need mid-run coordinator/worker state surgery); scheduling them
@@ -350,6 +364,7 @@ class ProcessCoordinator(SimulatedNetwork):
             dst = message.dst
             horizon = None  # earliest completion of a preceding unapplied delivery
             stop = None  # key of the earliest later unapplied delivery
+            later = 0  # unapplied deliveries that sort after the front
             for p_arrival, p_seq, p_completion, _, p_node in pending:
                 p_key = (p_arrival, p_seq)
                 if p_node == dst:
@@ -362,8 +377,10 @@ class ProcessCoordinator(SimulatedNetwork):
                 if p_key < key:
                     if horizon is None or p_completion < horizon:
                         horizon = p_completion
-                elif stop is None or p_key < stop:
-                    stop = p_key
+                else:
+                    later += 1
+                    if stop is None or p_key < stop:
+                        stop = p_key
             start = busy_until[dst]
             if arrival > start:
                 start = arrival
@@ -384,9 +401,16 @@ class ProcessCoordinator(SimulatedNetwork):
                 self.coalesced_deliveries += len(absorbed)
             completion = start + self.processing_cost * max(len(updates), 1)
             busy_until[dst] = completion
+            self._handouts += 1
+            # The front's serial hand-out ordinal, when provable (rule 3).
+            ordinal = None
+            if horizon is None or arrival <= horizon:
+                ordinal = self._handouts - later
             delivery_id = next(self._delivery_ids)
             wid = dst % self.workers
-            command = ("deliver", delivery_id, dst, message.port, tuple(updates), completion)
+            command = (
+                "deliver", delivery_id, dst, message.port, tuple(updates), completion, ordinal
+            )
             self._deliveries[delivery_id] = (wid, command)
             heapq.heappush(pending, (arrival, seq, completion, delivery_id, dst))
             self._command_queues[wid].put(command)

@@ -31,6 +31,7 @@ from typing import Dict, List, Optional, Sequence
 from repro.data.update import Update
 from repro.engine.routing import RoutingStats
 from repro.engine.runtime import ProcessorNode
+from repro.net.simulator import pack_rank
 from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.obs.trace import Tracer, install_tracer
 from repro.operators.ship import MinShipOperator, ShipMode
@@ -79,6 +80,9 @@ class WorkerNetwork:
     counter restarts with every process, and WAL replay re-executes the
     logged commands in their original order, so a respawned worker
     regenerates exactly the tokens its predecessor handed out.
+
+    It also serves :meth:`variable_rank` for the delivery being handled, from
+    the serial ordinal the coordinator stamped on its command.
     """
 
     def __init__(self, node_count: int, store, wid: int, workers: int, tracer=None) -> None:
@@ -95,9 +99,34 @@ class WorkerNetwork:
         #: token -> the updates of one same-worker send, awaiting delivery.
         self.stash: Dict[int, tuple] = {}
         self._tokens = itertools.count()
+        #: Serial hand-out ordinal of the delivery being handled (``None``
+        #: when the coordinator could not prove it) and how many variable
+        #: ranks its handler has drawn.
+        self._ordinal: Optional[int] = None
+        self._ranks_drawn = 0
 
     def active_nodes(self) -> List[int]:
         return list(range(self.node_count))
+
+    def begin_delivery(self, ordinal: Optional[int]) -> None:
+        """Draw the next variable ranks from the delivery stamped ``ordinal``."""
+        self._ordinal = ordinal
+        self._ranks_drawn = 0
+
+    def variable_rank(self) -> int:
+        """``SimulatedNetwork.variable_rank`` for the delivery being handled.
+
+        Without a stamped ordinal the rank could not match the serial
+        engine's, so declaring a variable raises instead of guessing.
+        """
+        if self._ordinal is None:
+            raise RuntimeError(
+                "a BDD variable was declared in a delivery without a known "
+                "serial ordinal; its rank would not match the serial engine's"
+            )
+        index = self._ranks_drawn
+        self._ranks_drawn = index + 1
+        return pack_rank(self._ordinal, index)
 
     def send(
         self,
@@ -243,8 +272,9 @@ class Worker:
     # -- command execution -------------------------------------------------------
     def deliver(self, command, emit: bool = True, log: bool = True) -> None:
         """Run one handler; ship its outbox and telemetry back as the result."""
-        _, delivery_id, node_id, port, updates, now = command
+        _, delivery_id, node_id, port, updates, now, ordinal = command
         node = self.nodes[node_id]
+        self.network.begin_delivery(ordinal)
         decoded = decode_updates(self.store, self.network.unstash(updates))
         tracer = self._recorder
         span = None

@@ -55,9 +55,13 @@ class AbsorptionProvenanceStore(ProvenanceStore):
         )
 
     # -- algebra -----------------------------------------------------------
-    def base_annotation(self, base_key: Hashable) -> BDD:
-        """The Boolean variable standing for base tuple ``base_key``."""
-        return self.manager.variable(base_key)
+    def base_annotation(self, base_key: Hashable, rank: Optional[int] = None) -> BDD:
+        """The Boolean variable standing for base tuple ``base_key``.
+
+        A new variable is declared at ``rank`` (appended when ``None``); an
+        existing one keeps its level.
+        """
+        return self.manager.variable(base_key, rank)
 
     def zero(self) -> BDD:
         return self.manager.false

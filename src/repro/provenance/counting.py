@@ -13,7 +13,7 @@ the paper needs absorption provenance.
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable
+from typing import Hashable, Iterable, Optional
 
 from repro.provenance.tracker import ProvenanceStore
 
@@ -26,7 +26,7 @@ class CountingProvenanceStore(ProvenanceStore):
     #: non-recursive views; see the module docstring.
     supports_deletion = True
 
-    def base_annotation(self, base_key: Hashable) -> int:
+    def base_annotation(self, base_key: Hashable, rank: Optional[int] = None) -> int:
         return 1
 
     def zero(self) -> int:

@@ -24,7 +24,7 @@ relative to the absorbed BDD representation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Hashable, Iterable, List, Set, Tuple
+from typing import Dict, FrozenSet, Hashable, Iterable, List, Optional, Set, Tuple
 
 from repro.provenance.tracker import ProvenanceStore
 
@@ -79,7 +79,9 @@ class RelativeProvenanceStore(ProvenanceStore):
         self._edges: List[DerivationEdge] = []
 
     # -- algebra ------------------------------------------------------------
-    def base_annotation(self, base_key: Hashable) -> RelativeAnnotation:
+    def base_annotation(
+        self, base_key: Hashable, rank: Optional[int] = None
+    ) -> RelativeAnnotation:
         return frozenset({Derivation(leaves=frozenset({base_key}))})
 
     def zero(self) -> RelativeAnnotation:

@@ -35,8 +35,13 @@ class ProvenanceStore(abc.ABC):
     supports_deletion: bool = True
 
     @abc.abstractmethod
-    def base_annotation(self, base_key: Hashable) -> Annotation:
-        """Annotation of a freshly inserted base tuple identified by ``base_key``."""
+    def base_annotation(self, base_key: Hashable, rank: Optional[int] = None) -> Annotation:
+        """Annotation of a freshly inserted base tuple identified by ``base_key``.
+
+        ``rank`` places a new BDD variable in the cluster-wide variable order
+        (see ``SimulatedNetwork.variable_rank``); stores whose annotations are
+        plain values ignore it.
+        """
 
     @abc.abstractmethod
     def zero(self) -> Annotation:
@@ -194,7 +199,7 @@ class NullProvenanceStore(ProvenanceStore):
     name = "none"
     supports_deletion = False
 
-    def base_annotation(self, base_key: Hashable) -> Annotation:
+    def base_annotation(self, base_key: Hashable, rank: Optional[int] = None) -> Annotation:
         return True
 
     def zero(self) -> Annotation:

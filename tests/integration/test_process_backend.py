@@ -278,15 +278,14 @@ def test_worker_traces_merge_into_coordinator_trace(workload):
 
 
 #: Per-phase ``(messages, updates_shipped, communication_mb, state_mb,
-#: per_tuple_provenance_bytes)`` of the 12-node, 2-worker Absorption Lazy run
-#: below, recorded before the dispatch rule overlapped deliveries.  The byte
-#: numbers are node counts in each worker's own BDD manager, so they depend
-#: on each worker's variable order: any delivery that creates a variable,
-#: dispatched out of serial order, moves them.
+#: per_tuple_provenance_bytes)`` of the 12-node Absorption Lazy run below, on
+#: either backend.  The byte numbers are BDD node counts; every variable sits
+#: at a global rank, so each worker's variable order is a sub-order of the
+#: single-process manager's and the counts are equal.
 PINNED_LAZY_PHASES = {
-    "insert": (624, 1568, 0.125772, 0.41566, 59.826530612244895),
-    "delete": (96, 264, 0.027457, 0.233259, 161.0909090909091),
-    "reinsert": (361, 674, 0.073345, 0.440687, 87.78635014836796),
+    "insert": (624, 1568, 0.125676, 0.411324, 59.765306122448976),
+    "delete": (96, 264, 0.031345, 0.232027, 190.54545454545453),
+    "reinsert": (361, 674, 0.073985, 0.454543, 88.73590504451039),
 }
 
 
@@ -319,14 +318,10 @@ def _lazy_churn_phases(backend, workers=None):
 
 
 def test_process_byte_telemetry_is_pinned_at_six_nodes_per_worker():
-    """Six nodes share each worker's BDD manager, so overlapping deliveries on
-    one worker must keep its variable order — and every byte count — exact."""
+    """Six nodes share each worker's BDD manager; overlapping their deliveries
+    must leave every byte count equal to the single-process run's."""
     assert _lazy_churn_phases("process", workers=2) == PINNED_LAZY_PHASES
 
 
 def test_view_size_counts_the_view_on_the_sim_backend():
-    phases = _lazy_churn_phases("sim")
-    # Same traffic as the process run; bytes are the single manager's.
-    assert {label: row[:2] for label, row in phases.items()} == {
-        label: row[:2] for label, row in PINNED_LAZY_PHASES.items()
-    }
+    assert _lazy_churn_phases("sim") == PINNED_LAZY_PHASES

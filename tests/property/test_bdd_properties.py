@@ -9,10 +9,12 @@ are semantically equal iff their BDD nodes coincide.
 import itertools
 import pickle
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.bdd import BDDManager
 from repro.bdd.expr import BoolExpr
+from repro.bdd.manager import BDDError
 from repro.bdd.serialize import deserialize_bdd, serialize_bdd
 
 VARIABLES = ["p1", "p2", "p3", "p4"]
@@ -148,18 +150,14 @@ def test_sat_count_matches_enumeration(tree):
 
 # -- serialization: round-trips preserve semantics ------------------------------------
 
-def _ite_rebuild(serialized, manager):
-    """The reference decoder: every node composed as ``ite`` inside ``manager``."""
-    variables = [manager.variable(name) for name in serialized.names]
-    built = [manager.false, manager.true]
-    nodes = serialized.nodes
-    for index in range(0, len(nodes), 3):
-        built.append(
-            manager.ite(
-                variables[nodes[index]], built[nodes[index + 2]], built[nodes[index + 1]]
-            )
-        )
-    return built[serialized.root]
+def _ranks():
+    """Distinct sparse ranks for ``VARIABLES``, anywhere below the terminal level."""
+    return st.lists(
+        st.integers(min_value=0, max_value=(1 << 60) - 1),
+        min_size=len(VARIABLES),
+        max_size=len(VARIABLES),
+        unique=True,
+    )
 
 
 @settings(max_examples=120, deadline=None)
@@ -177,30 +175,46 @@ def test_serialize_round_trip_same_manager_is_identity(tree):
 @settings(max_examples=200, deadline=None)
 @given(
     _expressions(),
-    st.permutations(VARIABLES),
+    _ranks(),
+    st.permutations(range(len(VARIABLES))),
     st.integers(min_value=0, max_value=len(VARIABLES)),
 )
-def test_serialize_round_trip_fresh_manager_preserves_semantics(tree, order, declared):
-    """Across managers — even one that already declared some of the names, in
-    any order — the decoded function evaluates like the original and is
-    exactly the node the ``ite``-only rebuild builds (the direct ``make``
-    path is only a shortcut)."""
+def test_decode_into_a_ranked_subset_is_a_relabel(tree, ranks, order, declared):
+    """Across managers — even one that already declared some of the names at
+    their ranks, in any order — decoding rebuilds the source function node
+    for node, and runs no apply."""
     source = BDDManager()
-    source.variables(*VARIABLES)
+    for name, rank in zip(VARIABLES, ranks):
+        source.variable(name, rank)
     bdd = _to_bdd(tree, source)
     serialized = pickle.loads(pickle.dumps(serialize_bdd(bdd)))
     target = BDDManager()
-    target.variables(*order[:declared])
+    for index in order[:declared]:
+        target.variable(VARIABLES[index], ranks[index])
+    applies = target.stats.apply_calls
     restored = deserialize_bdd(serialized, target)
+    assert target.stats.apply_calls == applies
+    assert serialize_bdd(restored) == serialized
     for assignment in _all_assignments():
         expected = _evaluate(tree, assignment)
         if restored.node <= 1:
             assert restored.is_true() == expected
         else:
             assert restored.evaluate(assignment) == expected
-    reference = _ite_rebuild(serialized, target)
-    assert restored == reference
-    assert serialize_bdd(restored) == serialize_bdd(reference)
+
+
+def test_decode_rejects_a_rank_conflict():
+    source = BDDManager()
+    p, q = source.variable("p", 10), source.variable("q", 20)
+    serialized = serialize_bdd(p & q)
+    moved = BDDManager()
+    moved.variable("p", 30)  # a known name at another level
+    with pytest.raises(BDDError):
+        deserialize_bdd(serialized, moved)
+    taken = BDDManager()
+    taken.variable("r", 20)  # q's rank already holds another name
+    with pytest.raises(BDDError):
+        deserialize_bdd(serialized, taken)
 
 
 @settings(max_examples=100, deadline=None)

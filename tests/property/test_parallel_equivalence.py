@@ -3,8 +3,9 @@
 For arbitrary insert/delete mixes cut into arbitrary phases, running the
 engine across real worker processes — at any worker count — must yield
 *bit-identical* results to the single-process simulator: the same view, the
-same canonical per-tuple absorbed provenance, the same event/message counts
-and the same virtual-clock convergence.  Worker counts 1, 2 and 4 cover the
+same canonical per-tuple absorbed provenance, the same event/message counts,
+the same virtual-clock convergence and the same per-phase byte telemetry
+(BDD node counts, equal because every worker orders variables by global rank).  Worker counts 1, 2 and 4 cover the
 degenerate pool, the split-cluster case and more-workers-than-busy-nodes.
 
 Process pools are expensive to spawn, so the example budget is small; the
@@ -55,6 +56,7 @@ def _fingerprint(phases, scheme, backend, workers=None):
     try:
         messages = shipped = 0
         convergence = []
+        byte_telemetry = []
         for inserts, deletes in phases:
             phase = executor.apply_mixed(
                 edge_inserts=[link(a, b) for a, b in inserts],
@@ -63,6 +65,9 @@ def _fingerprint(phases, scheme, backend, workers=None):
             messages += phase.messages
             shipped += phase.updates_shipped
             convergence.append(phase.convergence_time_s)
+            byte_telemetry.append(
+                (phase.communication_mb, phase.state_mb, phase.per_tuple_provenance_bytes)
+            )
         return {
             "view": executor.view(),
             "annotations": executor.view_annotations(),
@@ -70,6 +75,7 @@ def _fingerprint(phases, scheme, backend, workers=None):
             "messages": messages,
             "shipped": shipped,
             "convergence": convergence,
+            "bytes": byte_telemetry,
         }
     finally:
         executor.close()

@@ -59,6 +59,24 @@ class TestVariables:
         with pytest.raises(BDDError):
             mgr.index_of("missing")
 
+    def test_ranked_variable_slots_between_existing_levels(self, mgr):
+        p, r = mgr.variable("p", 10), mgr.variable("r", 30)
+        both = p & r
+        q = mgr.variable("q", 20)
+        assert (p & r) == both  # no existing node moved
+        assert [mgr.name_of(level) for level in sorted((p & q & r).support())] == ["p", "q", "r"]
+        assert mgr.variable("s").support() == frozenset({31})  # unranked: appended
+        assert p.sat_count() == 8
+
+    def test_rank_conflicts_raise(self, mgr):
+        mgr.variable("p", 7)
+        assert mgr.variable("p", 8) == mgr.variable("p")  # a known name keeps its level
+        assert mgr.index_of("p") == 7
+        with pytest.raises(BDDError):
+            mgr.variable("q", 7)
+        with pytest.raises(BDDError):
+            mgr.variable("q", 1 << 60)
+
     def test_hashable_non_string_names(self, mgr):
         key = ("link", "A", "B")
         var = mgr.variable(key)

@@ -18,7 +18,7 @@ from repro.data.update import insert
 from repro.fault.worker_wal import CommandLog, wal_tail_bytes
 from repro.net.latency import UniformLatencyModel
 from repro.net.message import Message
-from repro.net.simulator import SimulatedNetwork, SimulationError
+from repro.net.simulator import SimulatedNetwork, SimulationError, pack_rank
 from repro.net.transport import Transport
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import CONTROL_PID, KERNEL_PID, Tracer
@@ -308,6 +308,47 @@ def test_fronts_on_different_workers_within_latency_overlap(coordinator):
     coordinator.inject(3, "edge", _updates(), at_time=0.0012)
     coordinator._dispatch()
     assert len(_commands(coordinator, 1)) == 1
+
+
+def test_deliveries_carry_their_serial_ordinal(coordinator):
+    coordinator.inject(0, "edge", _updates(), at_time=0.0)
+    coordinator.inject(1, "edge", _updates(), at_time=0.0005)
+    coordinator._dispatch()
+    (first,) = _commands(coordinator, 0)
+    (overtaking,) = _commands(coordinator, 1)
+    assert first[6] == 1
+    # Node 1's delivery arrives after node 0's completes, so something node 0
+    # sends itself could sort first: no provable ordinal.
+    assert overtaking[6] is None
+    # It does: the self-send is second in serial order, though dispatched third.
+    coordinator._recv_backlog.append(
+        _result(first, [(0, 0, "view", tuple(_updates()), 10, first[5])])
+    )
+    coordinator._apply_next()
+    coordinator._dispatch()
+    assert _commands(coordinator, 0)[1][6] == 2
+
+
+def test_worker_ranks_need_a_serial_ordinal():
+    network = WorkerNetwork(node_count=2, store=AbsorptionProvenanceStore(), wid=0, workers=1)
+    network.begin_delivery(3)
+    assert [network.variable_rank(), network.variable_rank()] == [
+        pack_rank(3, 0),
+        pack_rank(3, 1),
+    ]
+    network.begin_delivery(None)
+    with pytest.raises(RuntimeError):
+        network.variable_rank()
+
+
+def test_sim_ranks_follow_declaration_order():
+    executor = build_executor(reachability_plan(), "Absorption Lazy", node_count=4)
+    executor.insert_edges([link("a", "b"), link("b", "c"), link("c", "a")])
+    executor.delete_edges([link("b", "c")])
+    executor.insert_edges([link("b", "c")])
+    manager = executor.store.manager
+    by_level = [manager.name_of(level) for level in sorted(manager._name_by_index)]
+    assert by_level == list(manager._index_by_name)  # declaration order
 
 
 def test_same_node_successor_waits_for_its_predecessor(coordinator):

@@ -13,12 +13,12 @@ Two gates:
 """
 
 import time
+from collections import Counter
 
 from benchmarks.conftest import report_figure, run_once
 from repro.data.batch import BatchPolicy
 from repro.engine.strategy import ExecutionStrategy
-from repro.obs.flight import FlightRecorder
-from repro.obs.trace import Tracer, install_tracer
+from repro.obs.trace import DEFAULT_RING_CAPACITY, Tracer, install_tracer
 from repro.queries import build_executor, reachability_plan
 from repro.workloads.topology import TransitStubConfig, generate_topology
 from repro.workloads.updates import deletion_sample
@@ -66,7 +66,7 @@ def test_traced_overhead_within_bar(benchmark):
             "untraced_s": round(untraced_s, 4),
             "traced_s": round(traced_s, 4),
             "ratio": round(traced_s / untraced_s, 3),
-            "events": len(tracer.events),
+            "events": tracer.retained_records(),
             "nodes": len(traced_executor.nodes),
         }
 
@@ -92,7 +92,7 @@ def test_flight_recorder_overhead_within_bar(benchmark):
     def measure():
         install_tracer(None)
         untraced_s = min(_run_workload()[1] for _ in range(2))
-        recorder = FlightRecorder()
+        recorder = Tracer(DEFAULT_RING_CAPACITY)
         install_tracer(recorder)
         try:
             flight_s = min(_run_workload()[1] for _ in range(2))
@@ -108,7 +108,7 @@ def test_flight_recorder_overhead_within_bar(benchmark):
 
     row = run_once(benchmark, measure)
     # Re-run once outside the timer to inspect ring invariants structurally.
-    recorder = FlightRecorder()
+    recorder = Tracer(DEFAULT_RING_CAPACITY)
     install_tracer(recorder)
     try:
         _run_workload()
@@ -116,9 +116,8 @@ def test_flight_recorder_overhead_within_bar(benchmark):
         install_tracer(None)
     report_figure([row], title="Flight recorder overhead (fig-11/12 workload, rings on vs off)")
     assert row["retained"] > 0, "flight recorder retained nothing"
-    assert all(
-        len(ring.slots) == ring.capacity for ring in recorder._rings.values()
-    ), "a ring outgrew its preallocated capacity"
+    per_pid = Counter(event["pid"] for event in recorder.events())
+    assert max(per_pid.values()) <= recorder.capacity, "a ring outgrew its capacity"
     assert row["ratio"] < 1.2, (
         f"flight-recorder overhead {row['ratio']}x exceeds the 1.2x gate "
         f"(flight {row['flight_s']}s vs untraced {row['untraced_s']}s)"

@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Validate an exported Chrome trace file (CI gate for ``--trace`` output).
+"""Validate an exported Chrome trace file (CI gate for ``--trace`` output and flight dumps).
 
 Checks the JSON shape, span durations, per-track nesting, required span
 categories and per-node track presence via

@@ -1161,7 +1161,7 @@ class BDDManager:
 
         tracer = current_tracer()
         span = None
-        if tracer.enabled:
+        if tracer is not None:
             # The node-context pid attributes passes triggered inside a
             # delivery to that node's track; passes outside any handler land
             # on the shared ``bdd-kernel`` track.

@@ -245,7 +245,7 @@ class ChaosExecutor(FaultTolerantExecutor, ElasticExecutor):
                 sim_ts=now,
                 args={"stale_as_of_phase": info.phase, "reason": info.reason},
             )
-        from repro.obs.flight import maybe_dump_flight
+        from repro.obs.trace import maybe_dump_flight
 
         maybe_dump_flight(f"node {node_id} degraded: {info.reason}")
 

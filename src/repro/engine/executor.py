@@ -33,7 +33,7 @@ from repro.net.latency import LatencyModel
 from repro.net.partition import HashPartitioner
 from repro.net.simulator import SimulatedNetwork
 from repro.obs.metrics import Histogram, MetricsRegistry, current_metrics_log
-from repro.obs.trace import HARNESS_PID, current_tracer
+from repro.obs.trace import HARNESS_PID, current_tracer, maybe_dump_flight
 from repro.operators.ship import MinShipOperator, ShipMode
 
 
@@ -69,9 +69,10 @@ class DistributedViewExecutor:
             latency_model, processing_cost, max_events, max_wall_seconds
         )
         #: The span tracer for this run: the process-wide active tracer
-        #: (installed by ``--trace``), resolved once at construction.  The
-        #: network stores ``None`` when tracing is off, and the nodes read
-        #: that — install the tracer *before* building an executor.
+        #: (``--trace``, or the harness's flight recorder), resolved once at
+        #: construction; ``None`` when tracing is off.  The network and the
+        #: nodes hold the same reference — install the tracer *before*
+        #: building an executor.
         self.tracer = current_tracer()
         self.network.set_tracer(self.tracer)
         #: One routing-telemetry accumulator shared by every node's router,
@@ -250,22 +251,39 @@ class DistributedViewExecutor:
         seed_inserts: Sequence[Tuple] = (),
         seed_deletes: Sequence[Tuple] = (),
     ) -> PhaseMetrics:
+        tracer = self.tracer
+        phase_span = None
+        if tracer is not None:
+            phase_span = tracer.begin(
+                HARNESS_PID,
+                f"phase:{label}",
+                "phase",
+                sim_ts=self.network.now,
+                args={
+                    "experiment": self.metrics.experiment,
+                    "scheme": self.metrics.scheme,
+                },
+            )
         try:
             return self._run_phase_body(
                 label, edge_inserts, edge_deletes, seed_inserts, seed_deletes
             )
         except Exception as exc:
             # Post-mortem hook: budget overruns, worker deaths and handler
-            # crashes all surface here.  When the always-on flight recorder is
-            # installed, its rings (plus every live worker's, on the process
-            # backend) become a loadable trace before the exception continues.
+            # crashes all surface here.  When the installed tracer has a dump
+            # path (the always-on flight recorder), its store (plus every live
+            # worker's, on the process backend) becomes a loadable trace
+            # before the exception continues.
             self._on_phase_failure(label, exc)
             raise
+        finally:
+            # Closed on failure too: a phase the harness catches (a budget
+            # cut) must not leave a span open across the rest of the run.
+            if phase_span is not None:
+                tracer.end(phase_span, sim_ts=self.network.now)
 
     def _on_phase_failure(self, label: str, exc: Exception) -> None:
         """Dump the flight recorder on a failed phase (best-effort, never raises)."""
-        from repro.obs.flight import maybe_dump_flight
-
         try:
             self._collect_flight_rings()
         except Exception:
@@ -276,7 +294,7 @@ class DistributedViewExecutor:
             pass
 
     def _collect_flight_rings(self) -> None:
-        """Fold remote recorder rings in before a dump (no-op in-process)."""
+        """Fold the workers' tracer stores in before a dump (no-op in-process)."""
 
     def _run_phase_body(
         self,
@@ -289,20 +307,6 @@ class DistributedViewExecutor:
         self.network.reset_stats()
         self.network.arm_wall_budget()
         phase_start = self.network.now
-        tracer = self.tracer
-        traced = tracer.enabled
-        phase_span = None
-        if traced:
-            phase_span = tracer.begin(
-                HARNESS_PID,
-                f"phase:{label}",
-                "phase",
-                sim_ts=phase_start,
-                args={
-                    "experiment": self.metrics.experiment,
-                    "scheme": self.metrics.scheme,
-                },
-            )
         wall_start = time.perf_counter()
         handler_start = self.network.handler_seconds
         kernel_start = self.store.kernel_stats()
@@ -322,7 +326,7 @@ class DistributedViewExecutor:
             self._run_to_quiescence()
 
         self._update_live_base(edge_inserts, edge_deletes, seed_inserts, seed_deletes)
-        if traced:
+        if self.tracer is not None:
             # One boundary collection pass (mark-only unless the dead fraction
             # warrants compacting) so every traced run carries GC spans even
             # when no automatic collection fired mid-phase.  Phases are
@@ -337,8 +341,6 @@ class DistributedViewExecutor:
             routing_start=routing_start,
         )
         self.metrics.add_phase(phase)
-        if traced:
-            tracer.end(phase_span, sim_ts=self.network.now)
         log = current_metrics_log()
         if log is not None:
             log.record(
@@ -596,11 +598,8 @@ class DistributedViewExecutor:
         target = parse_view_tuple(self.plan, target)
         engine = ExplainEngine(self.plan, self.partitioner, scheme=self.strategy.label)
         canonical = self._explain_products(target)
-        if trace_events is None and self.tracer.enabled:
-            trace_events = getattr(self.tracer, "events", None)
-            if trace_events is None:
-                snapshot = getattr(self.tracer, "snapshot_events", None)
-                trace_events = snapshot() if snapshot is not None else None
+        if trace_events is None and self.tracer is not None:
+            trace_events = self.tracer.events()
         return engine.build(target, canonical, trace_events=trace_events)
 
     def _explain_products(self, target: Tuple):

@@ -162,7 +162,7 @@ class BatchRouter:
         #: ``None`` when tracing is off — public methods pay one pointer
         #: comparison; when on, each batch operation becomes one
         #: ``routing``-category span on the node's pipeline track.
-        self.tracer = tracer if tracer is not None and tracer.enabled else None
+        self.tracer = tracer
         result_key = plan.result_partition_value
         edge_key = plan.edge_join_value
         #: port -> (tuple -> routing key).  Seeds and view updates are both

@@ -99,7 +99,7 @@ class RecoveryManager(FaultListener):
             self._purge_dead_base(node_id, now)
             if tracer is not None:
                 tracer.end(span)
-            from repro.obs.flight import maybe_dump_flight
+            from repro.obs.trace import maybe_dump_flight
 
             maybe_dump_flight(f"crash-purge node {node_id}")
 

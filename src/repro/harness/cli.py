@@ -22,11 +22,16 @@ import re
 from repro.harness.experiments import EXPERIMENTS, explain, run
 from repro.harness.config import DEFAULT_CONFIG, PAPER_SCALE_CONFIG, QUICK_CONFIG, ExperimentConfig
 from repro.obs.explain import inject_explain_flows
-from repro.obs.flight import FlightRecorder, maybe_dump_flight
 from repro.harness.report import format_rows, rows_to_csv
-from repro.obs.export import write_metrics_json, write_trace
+from repro.obs.export import write_metrics_json
 from repro.obs.metrics import MetricsLog, install_metrics_log
-from repro.obs.trace import HARNESS_PID, Tracer, install_tracer
+from repro.obs.trace import (
+    DEFAULT_RING_CAPACITY,
+    HARNESS_PID,
+    Tracer,
+    install_tracer,
+    maybe_dump_flight,
+)
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -198,7 +203,7 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help=(
             "where the always-on flight recorder dumps its ring buffers on a "
-            "crash-purge, budget overrun or harness error (default: "
+            "crash-purge, degraded node, budget overrun or harness error (default: "
             "flight_dump.json in the working directory)"
         ),
     )
@@ -311,15 +316,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args.csv_dir.mkdir(parents=True, exist_ok=True)
 
     tracer = None
-    flight = None
     if args.trace is not None:
         tracer = Tracer()
-        install_tracer(tracer)
     elif not args.no_flight:
         # The always-on flight recorder: bounded rings, dumped only when
-        # something goes wrong (crash-purge, budget overrun, harness error).
-        flight = FlightRecorder(dump_path=args.flight_dump or Path("flight_dump.json"))
-        install_tracer(flight)
+        # something goes wrong (crash-purge, degradation, budget overrun,
+        # harness error).
+        tracer = Tracer(
+            DEFAULT_RING_CAPACITY, dump_path=args.flight_dump or Path("flight_dump.json")
+        )
+    if tracer is not None:
+        install_tracer(tracer)
     metrics_log = None
     if args.metrics_json is not None:
         metrics_log = MetricsLog()
@@ -361,10 +368,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     finally:
         if tracer is not None:
             install_tracer(None)
-            write_trace(tracer, args.trace)
-            print(f"(wrote trace: {args.trace}, {len(tracer.events)} events)")
-        if flight is not None:
-            install_tracer(None)
+        if args.trace is not None:
+            tracer.write(args.trace)
+            print(f"(wrote trace: {args.trace}, {tracer.retained_records()} events)")
         if metrics_log is not None:
             install_metrics_log(None)
             write_metrics_json(metrics_log, args.metrics_json)

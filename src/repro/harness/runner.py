@@ -250,7 +250,7 @@ def _base_row(figure: str, scheme: str, parameters: Row) -> Row:
     row: Row = {"figure": figure, "scheme": scheme}
     row.update(parameters)
     tracer = current_tracer()
-    if tracer.enabled:
+    if tracer is not None:
         # Every row starts here, so one instant on the harness track marks
         # each (figure, scheme, x) point in a trace.
         point = ",".join(f"{k}={v}" for k, v in parameters.items())

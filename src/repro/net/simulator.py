@@ -221,9 +221,9 @@ class SimulatedNetwork:
         self._epoch_provider = provider
 
     def set_tracer(self, tracer) -> None:
-        """Install the span tracer; disabled tracers are stored as ``None``
-        so the delivery loop's only tracing cost is a pointer comparison."""
-        self._tracer = tracer if tracer is not None and tracer.enabled else None
+        """Install the span tracer (``None`` = off), so the delivery loop's
+        only tracing cost is a pointer comparison."""
+        self._tracer = tracer
 
     @property
     def tracer(self):

@@ -1,10 +1,10 @@
 """Unified observability: span tracing, metrics registry, Perfetto export.
 
-See :mod:`repro.obs.trace` for the tracer and track model,
+See :mod:`repro.obs.trace` for the tracer (an unbounded store for ``--trace``,
+a bounded ring per pid for the always-on flight recorder) and its track model,
 :mod:`repro.obs.metrics` for the counter/gauge/histogram registry and probe
-API, :mod:`repro.obs.export` for the Chrome trace-event / JSONL writers and
-validators, :mod:`repro.obs.explain` for the provenance-native explain engine
-and :mod:`repro.obs.flight` for the always-on bounded flight recorder.
+API, :mod:`repro.obs.export` for trace loading and validators and the metrics
+writer, and :mod:`repro.obs.explain` for the provenance-native explain engine.
 """
 
 from repro.obs.explain import (
@@ -13,7 +13,6 @@ from repro.obs.explain import (
     inject_explain_flows,
     parse_view_tuple,
 )
-from repro.obs.flight import FlightRecorder, maybe_dump_flight
 from repro.obs.metrics import (
     MetricsLog,
     MetricsRegistry,
@@ -22,26 +21,24 @@ from repro.obs.metrics import (
 )
 from repro.obs.trace import (
     CONTROL_PID,
+    DEFAULT_RING_CAPACITY,
     HARNESS_PID,
     KERNEL_PID,
-    NULL_TRACER,
-    NullTracer,
     Tracer,
     current_tracer,
     install_tracer,
+    maybe_dump_flight,
 )
 
 __all__ = [
     "CONTROL_PID",
+    "DEFAULT_RING_CAPACITY",
     "HARNESS_PID",
     "KERNEL_PID",
-    "NULL_TRACER",
     "ExplainEngine",
     "Explanation",
-    "FlightRecorder",
     "MetricsLog",
     "MetricsRegistry",
-    "NullTracer",
     "Tracer",
     "current_metrics_log",
     "current_tracer",

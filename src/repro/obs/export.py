@@ -1,6 +1,6 @@
-"""Trace and metrics serialisation: Chrome trace-event JSON and JSONL.
+"""Trace loading and validation, and the metrics writer.
 
-Two trace formats from one :class:`~repro.obs.trace.Tracer`:
+:meth:`~repro.obs.trace.Tracer.write` produces the two trace formats:
 
 * **Chrome trace-event JSON** (the default, any other extension): the object
   form ``{"traceEvents": [...]}`` that Perfetto (https://ui.perfetto.dev) and
@@ -8,11 +8,12 @@ Two trace formats from one :class:`~repro.obs.trace.Tracer`:
 * **JSONL structured event log** (``*.jsonl``): one JSON event per line, for
   ``jq``/pandas-style post-processing without loading the whole trace.
 
-:func:`validate_chrome_trace` is the shared validity check used by the tests
-and by ``scripts/validate_trace.py`` in CI: the JSON must parse, every
-complete event needs a non-negative duration, spans within a track must nest
-properly (a proper tree — no partial overlap), and required categories and
-per-node tracks must be present.
+:func:`load_trace_events` reads either back.  :func:`validate_chrome_trace`
+is the shared validity check used by the tests and by
+``scripts/validate_trace.py`` in CI: the JSON must parse, every complete
+event needs a non-negative duration, spans within a track must nest properly
+(a proper tree — no partial overlap), and required categories and per-node
+tracks must be present.
 """
 
 from __future__ import annotations
@@ -20,34 +21,8 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, Iterable, List, Optional, Sequence
 
-from repro.obs.trace import Tracer
-
 #: Tolerance (microseconds) for float jitter in nesting comparisons.
 _NEST_EPSILON_US = 0.5
-
-
-def chrome_trace_dict(tracer: Tracer) -> Dict[str, Any]:
-    """The Perfetto-loadable object form of a finished trace."""
-    tracer.finish()
-    return {
-        "traceEvents": tracer.chrome_events(),
-        "displayTimeUnit": "ms",
-        "otherData": {"producer": "repro.obs", "clock": "wall-us (sim time in args)"},
-    }
-
-
-def write_trace(tracer: Tracer, path: Any) -> None:
-    """Write the trace to ``path`` — JSONL when it ends in ``.jsonl``,
-    Chrome trace-event JSON otherwise."""
-    if str(path).endswith(".jsonl"):
-        tracer.finish()
-        with open(path, "w", encoding="utf-8") as handle:
-            for event in tracer.chrome_events():
-                handle.write(json.dumps(event, sort_keys=True))
-                handle.write("\n")
-    else:
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(chrome_trace_dict(tracer), handle)
 
 
 def write_metrics_json(log: Any, path: Any) -> None:

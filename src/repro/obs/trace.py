@@ -1,12 +1,29 @@
 """Span-based tracing of the distributed engine (wall + simulated clocks).
 
-One :class:`Tracer` records the full batch lifecycle as Chrome trace events —
-inject, route, admit, operator work, kernel time, GC pauses, ship and
-delivery — on **per-node tracks**, with flow events linking a message's send
-to its delivery and instant events for the control plane (crash, recover,
-placement changes, migrations).  The export side
-(:mod:`repro.obs.export`) renders the event list as Chrome trace-event JSON
-(loadable in Perfetto or ``about://tracing``) or as a JSONL structured log.
+One :class:`Tracer` records the full batch lifecycle — inject, route, admit,
+operator work, kernel time, GC pauses, ship and delivery — on **per-node
+tracks**, with flow events linking a message's send to its delivery and
+instant events for the control plane (crash, recover, placement changes,
+migrations).  :meth:`Tracer.write` renders the records as Chrome trace-event
+JSON (loadable in Perfetto or ``about://tracing``) or as a JSONL structured
+log.
+
+**Two stores.**  ``Tracer()`` keeps every record (``--trace``).
+``Tracer(capacity=N)`` keeps only the last ``N`` records per pid in a ring —
+constant memory, cheap enough to leave on (the harness's flight recorder).
+On failure — a crash-purge, a degraded node, a worker process dying, a
+wall/event budget overrun, or any harness exception — :func:`maybe_dump_flight`
+writes the installed tracer out through :meth:`Tracer.dump` if it has a
+``dump_path``.  The process backend first folds every live worker's store into
+the coordinator's (see
+:meth:`repro.parallel.scheduler.ProcessCoordinator.collect_flight_rings`), so
+the post-mortem covers the whole cluster.
+
+**Records.**  Both stores hold one record shape, a list
+``[ph, pid, tid, ts_us, dur_us, flow_id, name, cat, sim, args]``.  A span
+enters its store when it begins (``dur_us`` is ``None`` until it ends and is
+rendered as ending "now" while open), so on every track recording order is
+timestamp order.  Chrome events are built only at export.
 
 **Track layout.**  Every processor node is one trace *process* (``pid`` =
 node id) with three lanes:
@@ -24,9 +41,9 @@ Three synthetic processes carry everything that is not a node:
 ``bdd-kernel`` (GC passes outside any handler) and ``harness`` (experiment
 phases and per-run markers).
 
-**Zero overhead off.**  The disabled tracer is the :data:`NULL_TRACER` null
-object; instrumented hot paths hold ``None`` instead of it and pay exactly
-one pointer comparison per delivered batch (see
+**Zero overhead off.**  With tracing off :func:`current_tracer` is ``None``;
+instrumented hot paths hold that ``None`` and pay exactly one pointer
+comparison per delivered batch (see
 :meth:`repro.net.simulator.SimulatedNetwork.set_tracer` and
 :class:`repro.engine.runtime.ProcessorNode`).  ``benchmarks/test_obs_overhead.py``
 gates this.
@@ -41,8 +58,11 @@ happen".
 from __future__ import annotations
 
 import itertools
+import json
+from collections import deque
+from operator import itemgetter
 from time import perf_counter
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 #: Per-node lanes (Chrome ``tid``).
 PIPELINE_TID = 1
@@ -63,103 +83,71 @@ _SYNTHETIC_NAMES = {
 
 _LANE_NAMES = {PIPELINE_TID: "pipeline", KERNEL_TID: "kernel", GC_TID: "gc"}
 
-
-class NullTracer:
-    """The disabled tracer: every operation is a no-op.
-
-    Hot paths additionally cache ``None`` instead of this object so the
-    disabled cost is a pointer comparison, not even a method call; the null
-    object exists so *cold* call sites (GC passes, control-plane events,
-    phase boundaries) can call the tracer unconditionally.
-    """
-
-    enabled = False
-
-    def begin(self, pid, name, cat, tid=PIPELINE_TID, sim_ts=None, args=None):
-        return None
-
-    def end(self, span, args=None, sim_ts=None):
-        return None
-
-    def instant(self, pid, name, cat, tid=PIPELINE_TID, sim_ts=None, args=None):
-        return None
-
-    def flow_start(self, pid, sim_ts=None):
-        return None
-
-    def flow_finish(self, flow_id, pid):
-        return None
-
-    def kernel_slice(self, pid, seconds, sim_ts=None, name="kernel"):
-        return None
-
-    def set_node_context(self, pid):
-        return None
-
-    def clear_node_context(self):
-        return None
-
-    def context_pid(self, default):
-        return default
-
-    def finish(self):
-        return None
-
-
-#: The process-wide disabled tracer (shared, stateless).
-NULL_TRACER = NullTracer()
+#: Records a flight recorder retains per pid. 256 spans cover several phases
+#: of context on a node while keeping a 12-node cluster's rings under ~4k
+#: records.
+DEFAULT_RING_CAPACITY = 256
 
 #: The active tracer; :func:`install_tracer` swaps it, everything else reads it.
-_ACTIVE: Any = NULL_TRACER
+_ACTIVE: Optional["Tracer"] = None
 
 
-def install_tracer(tracer: Optional["Tracer"]) -> Any:
+def install_tracer(tracer: Optional["Tracer"]) -> Optional["Tracer"]:
     """Install ``tracer`` as the process-wide active tracer; returns the previous one.
 
-    Passing ``None`` restores the disabled :data:`NULL_TRACER`.  Executors
-    pick the active tracer up at construction, so install it *before*
-    building the executor whose run should be traced.
+    ``None`` turns tracing off.  Executors pick the active tracer up at
+    construction, so install it *before* building the executor whose run
+    should be traced.
     """
     global _ACTIVE
     previous = _ACTIVE
-    _ACTIVE = tracer if tracer is not None else NULL_TRACER
+    _ACTIVE = tracer
     return previous
 
 
-def current_tracer() -> Any:
-    """The process-wide active tracer (the null object when tracing is off)."""
+def current_tracer() -> Optional["Tracer"]:
+    """The process-wide active tracer, or ``None`` when tracing is off."""
     return _ACTIVE
 
 
 class Tracer:
-    """Records spans, instants and flow links as Chrome trace events.
+    """Records spans, instants and flow links into an unbounded or ring store.
 
-    Spans are *complete* events (``ph: "X"``): :meth:`begin` appends the
-    event and returns it as the token :meth:`end` later stamps the duration
-    onto — two timestamps and two dictionary writes per span, cheap enough
-    for per-delivery use.  Per-track open-span stacks are maintained so an
-    export can close dangling spans (:meth:`finish`) and so the nesting
-    property ("a track's spans form a proper tree") is testable.
+    ``capacity=None`` keeps every record; a positive ``capacity`` keeps the
+    last ``capacity`` records per pid.  ``dump_path`` is where
+    :func:`maybe_dump_flight` writes on failure (``None`` = never dump).
     """
 
-    enabled = True
-
-    def __init__(self) -> None:
+    def __init__(
+        self, capacity: Optional[int] = None, dump_path: Optional[Any] = None
+    ) -> None:
         self._t0 = perf_counter()
-        #: Flat chrome-format event list (metadata events added at export).
-        self.events: List[Dict[str, Any]] = []
-        self._open: Dict[Tuple[int, int], List[Dict[str, Any]]] = {}
+        self.capacity = capacity
+        self.dump_path = dump_path
+        self._records: List[list] = []
+        #: pid -> ring of records (bounded store only).
+        self._rings: Dict[int, deque] = {}
+        self._evicted = 0
+        self._put = self._records.append if capacity is None else self._put_ring
+        #: Spans begun and not yet ended, innermost last.
+        self._open: List[list] = []
         self._flow_ids = itertools.count(1)
-        self._tracks: set = set()
         #: Node whose handler is currently running (for attributing GC passes
         #: fired from inside kernel operations to the right node track).
         self._context_pid: Optional[int] = None
-        #: Per-pid display-name overrides (process backend: "node 3 [pid 71002]").
+        #: Per-pid display-name overrides (process backend: "node 3 [worker 0, pid 71002]").
         self._process_labels: Dict[int, str] = {}
 
-    # -- clock -------------------------------------------------------------------
     def _now_us(self) -> float:
         return (perf_counter() - self._t0) * 1e6
+
+    def _put_ring(self, record: list) -> None:
+        ring = self._rings.get(record[1])
+        if ring is None:
+            ring = self._rings[record[1]] = deque(maxlen=self.capacity)
+        elif len(ring) == self.capacity:
+            self._evicted += 1
+        ring.append(record)
 
     # -- spans -------------------------------------------------------------------
     def begin(
@@ -170,48 +158,38 @@ class Tracer:
         tid: int = PIPELINE_TID,
         sim_ts: Optional[float] = None,
         args: Optional[Dict[str, Any]] = None,
-    ) -> Dict[str, Any]:
-        """Open a span; returns the event token to pass to :meth:`end`."""
-        event: Dict[str, Any] = {
-            "ph": "X",
-            "pid": pid,
-            "tid": tid,
-            "name": name,
-            "cat": cat,
-            "ts": self._now_us(),
-            "dur": 0.0,
-        }
-        if sim_ts is not None or args:
-            event_args = dict(args) if args else {}
-            if sim_ts is not None:
-                event_args["sim"] = sim_ts
-            event["args"] = event_args
-        self._tracks.add((pid, tid))
-        self.events.append(event)
-        self._open.setdefault((pid, tid), []).append(event)
-        return event
+    ) -> list:
+        """Open a span; returns the record to pass to :meth:`end`."""
+        record = ["X", pid, tid, self._now_us(), None, None, name, cat, sim_ts, args]
+        self._put(record)
+        self._open.append(record)
+        return record
 
     def end(
         self,
-        span: Optional[Dict[str, Any]],
+        span: Optional[list],
         args: Optional[Dict[str, Any]] = None,
         sim_ts: Optional[float] = None,
     ) -> None:
         """Close a span opened by :meth:`begin` (None tokens are ignored)."""
         if span is None:
             return
-        span["dur"] = self._now_us() - span["ts"]
+        span[4] = self._now_us() - span[3]
         if args or sim_ts is not None:
-            event_args = span.setdefault("args", {})
+            merged = dict(span[9]) if span[9] else {}
             if args:
-                event_args.update(args)
+                merged.update(args)
             if sim_ts is not None:
-                event_args["sim_end"] = sim_ts
-        stack = self._open.get((span["pid"], span["tid"]))
-        if stack and stack[-1] is span:
-            stack.pop()
-        elif stack and span in stack:  # defensive: out-of-order close
-            stack.remove(span)
+                merged["sim_end"] = sim_ts
+            span[9] = merged
+        open_spans = self._open
+        if open_spans and open_spans[-1] is span:
+            open_spans.pop()
+        else:  # out-of-order close (identity, not list equality)
+            for index, record in enumerate(open_spans):
+                if record is span:
+                    del open_spans[index]
+                    break
 
     def instant(
         self,
@@ -223,57 +201,23 @@ class Tracer:
         args: Optional[Dict[str, Any]] = None,
     ) -> None:
         """Record a point-in-time event (crash, recover, placement change...)."""
-        event: Dict[str, Any] = {
-            "ph": "i",
-            "s": "t",
-            "pid": pid,
-            "tid": tid,
-            "name": name,
-            "cat": cat,
-            "ts": self._now_us(),
-        }
-        if sim_ts is not None or args:
-            event_args = dict(args) if args else {}
-            if sim_ts is not None:
-                event_args["sim"] = sim_ts
-            event["args"] = event_args
-        self._tracks.add((pid, tid))
-        self.events.append(event)
+        self._put(["i", pid, tid, self._now_us(), None, None, name, cat, sim_ts, args])
 
     # -- flows (message causality) --------------------------------------------------
     def flow_start(self, pid: int, sim_ts: Optional[float] = None) -> int:
         """Open a flow arrow at the sender (inside the sender's current span)."""
         flow_id = next(self._flow_ids)
-        event: Dict[str, Any] = {
-            "ph": "s",
-            "id": flow_id,
-            "pid": pid,
-            "tid": PIPELINE_TID,
-            "name": "msg",
-            "cat": "flow",
-            "ts": self._now_us(),
-        }
-        if sim_ts is not None:
-            event["args"] = {"sim": sim_ts}
-        self._tracks.add((pid, PIPELINE_TID))
-        self.events.append(event)
+        self._put(
+            ["s", pid, PIPELINE_TID, self._now_us(), None, flow_id, "msg", "flow", sim_ts, None]
+        )
         return flow_id
 
     def flow_finish(self, flow_id: Optional[int], pid: int) -> None:
         """Land a flow arrow at the receiver (inside the delivery span)."""
         if flow_id is None:
             return
-        self.events.append(
-            {
-                "ph": "f",
-                "bp": "e",
-                "id": flow_id,
-                "pid": pid,
-                "tid": PIPELINE_TID,
-                "name": "msg",
-                "cat": "flow",
-                "ts": self._now_us(),
-            }
+        self._put(
+            ["f", pid, PIPELINE_TID, self._now_us(), None, flow_id, "msg", "flow", None, None]
         )
 
     # -- aggregate kernel lane ---------------------------------------------------------
@@ -289,21 +233,11 @@ class Tracer:
         """
         if seconds <= 0.0:
             return
-        now = self._now_us()
         duration = seconds * 1e6
-        event: Dict[str, Any] = {
-            "ph": "X",
-            "pid": pid,
-            "tid": KERNEL_TID,
-            "name": name,
-            "cat": "kernel",
-            "ts": now - duration,
-            "dur": duration,
-        }
-        if sim_ts is not None:
-            event["args"] = {"sim": sim_ts}
-        self._tracks.add((pid, KERNEL_TID))
-        self.events.append(event)
+        self._put(
+            ["X", pid, KERNEL_TID, self._now_us() - duration, duration, None,
+             name, "kernel", sim_ts, None]
+        )
 
     # -- node context (GC attribution) ------------------------------------------------
     def set_node_context(self, pid: int) -> None:
@@ -317,20 +251,47 @@ class Tracer:
         """The current node context, or ``default`` outside any handler."""
         return self._context_pid if self._context_pid is not None else default
 
+    # -- store introspection ---------------------------------------------------------
+    def open_span_count(self) -> int:
+        """Spans currently open (should be 0 at any quiescent point)."""
+        return len(self._open)
+
+    def finish(self) -> None:
+        """Close any dangling spans (defensive; a clean run leaves none)."""
+        while self._open:
+            self.end(self._open[-1])
+
+    def retained_records(self) -> int:
+        """Records the store holds now."""
+        if self.capacity is None:
+            return len(self._records)
+        return sum(len(ring) for ring in self._rings.values())
+
+    def evicted_records(self) -> int:
+        """Records a ring dropped to stay within its capacity (0 when unbounded)."""
+        return self._evicted
+
     # -- multi-process merge --------------------------------------------------------
-    def label_process(self, pid: int, label: str) -> None:
-        """Override the exported display name of track ``pid``."""
-        self._process_labels[pid] = label
+    def take_records(self) -> List[list]:
+        """The retained records, picklable as-is, for a coordinator's :meth:`absorb`.
+
+        Drains an unbounded store (each phase-end merge ships only what is
+        new) and snapshots a ring (a post-mortem reader may ask again).
+        """
+        if self.capacity is None:
+            records = list(self._records)
+            self._records.clear()  # in place: ``_put`` is this list's append
+            return records
+        return [record for pid in sorted(self._rings) for record in self._rings[pid]]
 
     def absorb(
         self,
-        events: List[Dict[str, Any]],
-        tracks,
+        records: List[list],
         t0: float,
         pid_offset: int = 0,
         label: Optional[str] = None,
     ) -> None:
-        """Fold a worker tracer's drained events into this (coordinator) tracer.
+        """Fold a worker tracer's :meth:`take_records` into this (coordinator) tracer.
 
         ``t0`` is the worker tracer's ``perf_counter`` origin; both sides of a
         process pool read ``CLOCK_MONOTONIC``, so shifting every timestamp by
@@ -339,7 +300,7 @@ class Tracer:
         ``bdd-kernel``/``cluster-control`` lanes) are remapped by
         ``pid_offset`` so two workers' GC spans never interleave on one track
         and break its nesting tree; node pids are globally unique already and
-        pass through untouched.  ``label`` names the remapped synthetic tracks
+        pass through untouched.  ``label`` names the absorbed tracks
         (e.g. ``"bdd-kernel [worker 1, pid 71002]"``).
 
         Flow ids get the same treatment: every worker tracer counts its own
@@ -351,38 +312,50 @@ class Tracer:
         """
         offset_us = (t0 - self._t0) * 1e6
         flow_offset = pid_offset << 32
-        remapped = {}
-        for pid, tid in tracks:
-            new_pid = pid + pid_offset if pid >= CONTROL_PID else pid
-            remapped[pid] = new_pid
-            self._tracks.add((new_pid, tid))
-            if label is not None:
+        for record in records:
+            record = list(record)
+            pid = record[1]
+            if pid >= CONTROL_PID:
+                record[1] += pid_offset
+            if label is not None and record[1] not in self._process_labels:
                 base = _SYNTHETIC_NAMES.get(pid) if pid >= CONTROL_PID else f"node {pid}"
-                self._process_labels.setdefault(new_pid, f"{base} [{label}]")
-        for event in events:
-            pid = event["pid"]
-            event["pid"] = remapped.get(pid, pid + pid_offset if pid >= CONTROL_PID else pid)
-            event["ts"] += offset_us
-            if flow_offset and event["ph"] in ("s", "f"):
-                event["id"] += flow_offset
-            self.events.append(event)
+                self._process_labels[record[1]] = f"{base} [{label}]"
+            record[3] += offset_us
+            if record[5] is not None:
+                record[5] += flow_offset
+            self._put(record)
 
     # -- export ------------------------------------------------------------------------
-    def open_span_count(self) -> int:
-        """Spans currently open (should be 0 at any quiescent point)."""
-        return sum(len(stack) for stack in self._open.values())
+    def events(self) -> List[Dict[str, Any]]:
+        """The retained records as Chrome events (open spans end now).
 
-    def finish(self) -> None:
-        """Close any dangling spans (defensive; a clean run leaves none)."""
-        for stack in self._open.values():
-            while stack:
-                self.end(stack[-1])
+        An unbounded store renders in recording order, so a per-track
+        timestamp regression in the file means interleaved writers.  Rings
+        evict per pid on their own schedules: they render merged by
+        timestamp, keeping only the flows both of whose halves survived.
+        """
+        now = self._now_us()
+        if self.capacity is None:
+            records = self._records
+        else:
+            records = sorted(
+                (record for ring in self._rings.values() for record in ring),
+                key=itemgetter(3),
+            )
+            starts = {record[5] for record in records if record[0] == "s"}
+            finishes = {record[5] for record in records if record[0] == "f"}
+            paired = starts & finishes
+            records = [
+                record for record in records if record[5] is None or record[5] in paired
+            ]
+        return [_event(record, now) for record in records]
 
     def chrome_events(self) -> List[Dict[str, Any]]:
-        """The event list plus track-naming metadata, ready for JSON export."""
+        """:meth:`events` behind the track-naming metadata, ready for JSON export."""
+        events = self.events()
+        tracks = sorted({(event["pid"], event["tid"]) for event in events})
         metadata: List[Dict[str, Any]] = []
-        pids = sorted({pid for pid, _ in self._tracks})
-        for pid in pids:
+        for pid in sorted({pid for pid, _ in tracks}):
             name = self._process_labels.get(pid) or _SYNTHETIC_NAMES.get(pid, f"node {pid}")
             metadata.append(
                 {"ph": "M", "pid": pid, "tid": 0, "name": "process_name", "args": {"name": name}}
@@ -396,7 +369,7 @@ class Tracer:
                     "args": {"sort_index": pid},
                 }
             )
-        for pid, tid in sorted(self._tracks):
+        for pid, tid in tracks:
             metadata.append(
                 {
                     "ph": "M",
@@ -406,7 +379,91 @@ class Tracer:
                     "args": {"name": _LANE_NAMES.get(tid, f"lane {tid}")},
                 }
             )
-        return metadata + self.events
+        return metadata + events
+
+    def write(self, path: Any) -> str:
+        """Write the trace to ``path`` — JSONL when it ends in ``.jsonl``, Chrome
+        trace-event JSON otherwise; returns the path."""
+        events = self.chrome_events()
+        path = str(path)
+        with open(path, "w", encoding="utf-8") as handle:
+            if path.endswith(".jsonl"):
+                for event in events:
+                    handle.write(json.dumps(event, sort_keys=True))
+                    handle.write("\n")
+            else:
+                document = {
+                    "traceEvents": events,
+                    "displayTimeUnit": "ms",
+                    "otherData": {
+                        "producer": "repro.obs",
+                        "clock": "wall-us (sim time in args)",
+                    },
+                }
+                json.dump(document, handle)
+        return path
+
+    def dump(self, path: Any, reason: str) -> str:
+        """:meth:`write` behind a ``flight-dump`` mark on the harness track.
+
+        The mark carries the failure ``reason``, the eviction count (how much
+        history the rings dropped) and the ring capacity — so a post-mortem
+        reader knows both *why* the dump exists and *how far back* it sees.
+        """
+        self.instant(
+            HARNESS_PID,
+            "flight-dump",
+            "flight",
+            args={
+                "reason": reason,
+                "evicted": self._evicted,
+                "ring_capacity": self.capacity,
+            },
+        )
+        return self.write(path)
 
     def __repr__(self) -> str:
-        return f"Tracer({len(self.events)} events, {len(self._tracks)} tracks)"
+        store = "unbounded" if self.capacity is None else f"ring {self.capacity}/pid"
+        return (
+            f"Tracer({store}, {self.retained_records()} retained, "
+            f"{self._evicted} evicted)"
+        )
+
+
+def _event(record: list, now: float) -> Dict[str, Any]:
+    """One record as a Chrome trace event dict."""
+    ph, pid, tid, ts, dur, flow_id, name, cat, sim, args = record
+    event: Dict[str, Any] = {
+        "ph": ph, "pid": pid, "tid": tid, "name": name, "cat": cat, "ts": ts
+    }
+    if ph == "X":
+        event["dur"] = now - ts if dur is None else dur
+    elif ph == "i":
+        event["s"] = "t"
+    else:
+        event["id"] = flow_id
+        if ph == "f":
+            event["bp"] = "e"
+    if sim is not None or args:
+        event_args = dict(args) if args else {}
+        if sim is not None:
+            event_args["sim"] = sim
+        event["args"] = event_args
+    return event
+
+
+def maybe_dump_flight(reason: str, path: Optional[Any] = None) -> Optional[str]:
+    """Dump the installed tracer, if there is one with somewhere to dump.
+
+    The single post-mortem entry point every failure path calls (phase
+    failures, crash-purges, degradation, harness exceptions): a no-op unless
+    a tracer is installed with a ``dump_path`` (or an explicit ``path`` is
+    given).  Returns the written path, or ``None``.
+    """
+    tracer = _ACTIVE
+    if tracer is None:
+        return None
+    target = path if path is not None else tracer.dump_path
+    if target is None:
+        return None
+    return tracer.dump(target, reason)

@@ -36,9 +36,9 @@ from repro.net.latency import LatencyModel
 from repro.net.partition import HashPartitioner
 from repro.net.simulator import SimulationError
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.trace import Tracer, current_tracer
+from repro.obs.trace import current_tracer
 from repro.operators.ship import ShipMode
-from repro.parallel.envelope import TRACE_PID_STRIDE, WorkerInit
+from repro.parallel.envelope import WorkerInit
 from repro.parallel.scheduler import ProcessCoordinator
 
 #: Kernel-stat keys that take the max when merging workers; everything else
@@ -181,7 +181,7 @@ class ProcessExecutor(DistributedViewExecutor):
         return _ClusterStore(self)
 
     def _create_network(self, latency_model, processing_cost, max_events, max_wall_seconds):
-        active_recorder = current_tracer()
+        tracer = current_tracer()
         init = WorkerInit(
             wid=-1,  # per-worker ids are stamped at spawn
             workers=self.workers,
@@ -190,8 +190,7 @@ class ProcessExecutor(DistributedViewExecutor):
             strategy=self.strategy,
             batch_policy=self.batch_policy,
             partitioner=self.partitioner,
-            traced=isinstance(active_recorder, Tracer),
-            flight=bool(getattr(active_recorder, "is_flight_recorder", False)),
+            trace_capacity=0 if tracer is None else tracer.capacity,
         )
         self._coordinator = ProcessCoordinator(
             init,
@@ -290,11 +289,9 @@ class ProcessExecutor(DistributedViewExecutor):
         return None
 
     def _collect_flight_rings(self) -> None:
-        """Pull worker flight rings into the coordinator recorder pre-dump."""
-        from repro.obs.flight import FlightRecorder
-
-        if isinstance(self.tracer, FlightRecorder) and self._coordinator is not None:
-            self._coordinator.collect_flight_rings(self.tracer)
+        """Pull the workers' tracer stores into the coordinator's pre-dump."""
+        if self.tracer is not None and self._coordinator is not None:
+            self._coordinator.collect_flight_rings()
 
     def per_node_state_bytes(self) -> Dict[int, int]:
         return dict(sorted(self._gather_node_map("state_bytes").items()))
@@ -311,31 +308,12 @@ class ProcessExecutor(DistributedViewExecutor):
     # -- tracing -----------------------------------------------------------------------
     def _run_phase(self, label: str, **workload):
         phase = super()._run_phase(label, **workload)
-        # A FlightRecorder is also "enabled" but has no full event buffer to
-        # drain — its rings are only collected post-mortem.
-        if isinstance(self.tracer, Tracer) and self.tracer.enabled:
-            self._drain_worker_traces()
+        # An unbounded store is drained every phase.  A ring is snapshotted,
+        # not drained, so it is read only post-mortem (``_collect_flight_rings``):
+        # reading it every phase would absorb the same records again.
+        if self.tracer is not None and self.tracer.capacity is None:
+            self._coordinator.drain_traces()
         return phase
-
-    def _drain_worker_traces(self) -> None:
-        """Merge every worker's span buffer into the coordinator trace.
-
-        Worker clocks are ``perf_counter`` (CLOCK_MONOTONIC — comparable
-        across processes on one host), so shifting by the tracers' origin
-        difference aligns the timelines; synthetic tracks get per-worker pids
-        and every track is labelled with the worker's real OS pid.
-        """
-        for wid, reply in enumerate(self._coordinator.broadcast("trace")):
-            if reply is None:
-                continue
-            events, tracks, t0, os_pid = reply
-            self.tracer.absorb(
-                events,
-                tracks,
-                t0,
-                pid_offset=(wid + 1) * TRACE_PID_STRIDE,
-                label=f"worker {wid}, pid {os_pid}",
-            )
 
     # -- lifecycle ----------------------------------------------------------------------
     def close(self) -> None:

@@ -9,9 +9,9 @@ Commands (coordinator → worker)::
     ("flush",   rpc_id, now)                             # eager MinShip tick
     ("clear_join_left", rpc_id, node)                    # DRed re-derivation
     ("views" | "view_size" | "view_annotations" | "state_bytes"
-            | "kernel_stats" | "metrics" | "routing" | "trace", rpc_id)  # quiescent reads
+            | "kernel_stats" | "metrics" | "routing", rpc_id)  # quiescent reads
+    ("trace",   rpc_id)                                  # tracer records (drain / ring snapshot)
     ("explain", rpc_id, view_tuple)                      # one tuple's canonical products
-    ("flight",  rpc_id)                                  # flight-recorder ring snapshot
     ("collect", rpc_id, force)                           # kernel GC pass
     ("replay",  rpc_id, unacked_delivery_ids, unacked_rpc_ids, doom_after)  # WAL recovery
     ("shutdown",)
@@ -46,14 +46,11 @@ from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.data.update import Update
 
-#: Synthetic-pid stride per worker when merging traces or flight rings: every
+#: Synthetic-pid stride per worker when merging worker trace records: every
 #: worker's synthetic tracks (bdd-kernel, cluster-control) shift by
 #: ``(wid + 1) * TRACE_PID_STRIDE`` so no two processes interleave spans on
-#: one track (flow ids shift by the same offset ``<< 32``).  Lives here —
-#: the protocol layer — because both the coordinator-side scheduler and the
-#: executor-side backend need it without importing each other.
+#: one track (flow ids shift by the same offset ``<< 32``).
 TRACE_PID_STRIDE = 8
-
 
 @dataclass(frozen=True)
 class WorkerInit:
@@ -71,10 +68,10 @@ class WorkerInit:
     strategy: Any
     batch_policy: Any
     partitioner: Any
-    traced: bool = False
-    #: Run a bounded flight recorder in the worker instead of a full tracer
-    #: (mutually exclusive with ``traced``; rings are collected post-mortem).
-    flight: bool = False
+    #: The worker tracer's ``capacity`` (``None`` = unbounded store, N = ring
+    #: of N records per pid), or ``0`` for no tracer: a store that keeps
+    #: nothing is no store.
+    trace_capacity: Optional[int] = 0
     wal_path: Optional[str] = None
 
     def owned_nodes(self) -> List[int]:

@@ -204,8 +204,7 @@ class ProcessCoordinator(SimulatedNetwork):
             strategy=base.strategy,
             batch_policy=base.batch_policy,
             partitioner=base.partitioner,
-            traced=base.traced,
-            flight=base.flight,
+            trace_capacity=base.trace_capacity,
             wal_path=wal_path,
         )
 
@@ -812,18 +811,35 @@ class ProcessCoordinator(SimulatedNetwork):
                 self._push_encoded(src, dst, port, updates, size_bytes, sent_at)
         return released
 
-    # -- post-mortem flight-ring collection ----------------------------------------------
-    def collect_flight_rings(self, recorder, timeout: float = 2.0) -> int:
-        """Best-effort collection of the workers' flight-recorder rings.
+    # -- worker trace collection -------------------------------------------------------
+    def _absorb_trace(self, wid: int, payload) -> None:
+        """Fold one worker's ``trace`` reply into the coordinator's tracer,
+        its tracks shifted by the worker's pid stride and labelled with the
+        worker's real OS pid."""
+        records, t0, os_pid = payload
+        self.tracer.absorb(
+            records,
+            t0,
+            pid_offset=(wid + 1) * TRACE_PID_STRIDE,
+            label=f"worker {wid}, pid {os_pid}",
+        )
+
+    def drain_traces(self) -> None:
+        """Merge every worker's new trace records at a quiescent phase end."""
+        for wid, payload in enumerate(self.broadcast("trace")):
+            if payload is not None:
+                self._absorb_trace(wid, payload)
+
+    def collect_flight_rings(self, timeout: float = 2.0) -> int:
+        """Best-effort collection of the workers' tracer stores before a dump.
 
         Called when a run is already aborting (phase failure, budget overrun),
         so the quiescent-RPC discipline is deliberately relaxed: requests go to
         every *live* worker, replies are drained until ``timeout`` with
         unrelated queue items dropped, dead or silent workers are skipped, and
-        nothing here ever raises.  Collected records are absorbed into
-        ``recorder`` with the same per-worker pid stride the traced path uses,
-        so the dump renders like a merged trace.  Returns the number of
-        workers whose rings were absorbed.
+        nothing here ever raises.  Replies take the same absorb path as
+        :meth:`drain_traces`, so the dump renders like a merged trace.
+        Returns the number of workers whose records were absorbed.
         """
         pending: Dict[int, int] = {}
         try:
@@ -832,7 +848,7 @@ class ProcessCoordinator(SimulatedNetwork):
                     continue
                 rpc_id = next(self._rpc_ids)
                 try:
-                    self._command_queues[wid].put(("flight", rpc_id))
+                    self._command_queues[wid].put(("trace", rpc_id))
                 except (ValueError, OSError):
                     continue
                 pending[rpc_id] = wid
@@ -849,16 +865,9 @@ class ProcessCoordinator(SimulatedNetwork):
                 if item[0] != "rpc" or item[1] not in pending:
                     continue
                 wid = pending.pop(item[1])
-                payload = item[3]
-                if payload is None:
+                if item[3] is None:
                     continue
-                records, t0, os_pid = payload
-                recorder.absorb_records(
-                    records,
-                    t0,
-                    pid_offset=(wid + 1) * TRACE_PID_STRIDE,
-                    label=f"worker {wid}, pid {os_pid}",
-                )
+                self._absorb_trace(wid, item[3])
                 collected += 1
             except Exception:
                 continue

@@ -197,25 +197,16 @@ class Worker:
         self.init = init
         self.wid = init.wid
         self.result_queue = result_queue
-        #: The worker's recorder: a full Tracer when the run is traced, a
-        #: bounded FlightRecorder when the coordinator runs one, else None.
-        #: Both share the recording surface the hot paths use.
+        #: The worker's tracer, with the coordinator tracer's store (an
+        #: unbounded list or a ring of the same capacity), or None.
         self.tracer = None
-        self.flight = None
-        recorder = None
-        if init.traced:
-            self.tracer = recorder = Tracer()
-        elif init.flight:
-            from repro.obs.flight import FlightRecorder
-
-            self.flight = recorder = FlightRecorder()
-        if recorder is not None:
-            install_tracer(recorder)
-        self._recorder = recorder
+        if init.trace_capacity != 0:
+            self.tracer = Tracer(init.trace_capacity)
+            install_tracer(self.tracer)
         self.store = init.strategy.create_store()
         self.routing_stats = RoutingStats()
         self.network = WorkerNetwork(
-            init.node_count, self.store, init.wid, init.workers, tracer=recorder
+            init.node_count, self.store, init.wid, init.workers, tracer=self.tracer
         )
         self.nodes: Dict[int, ProcessorNode] = {
             node_id: ProcessorNode(
@@ -276,7 +267,7 @@ class Worker:
         node = self.nodes[node_id]
         self.network.begin_delivery(ordinal)
         decoded = decode_updates(self.store, self.network.unstash(updates))
-        tracer = self._recorder
+        tracer = self.tracer
         span = None
         if tracer is not None:
             span = tracer.begin(
@@ -392,27 +383,14 @@ class Worker:
                 break
         self.result_queue.put(("rpc", rpc_id, self.wid, payload))
 
-    def flight_snapshot(self, rpc_id) -> None:
-        """Non-destructive snapshot of the flight-recorder rings (post-mortem read)."""
-        if self.flight is None:
-            self.result_queue.put(("rpc", rpc_id, self.wid, None))
-            return
-        self.result_queue.put(
-            ("rpc", rpc_id, self.wid,
-             (self.flight.snapshot_records(), self.flight._t0, os.getpid()))
-        )
-
     def trace(self, rpc_id) -> None:
-        """Drain this worker's trace events (with clock origin and real pid)."""
-        if self.tracer is None:
-            self.result_queue.put(("rpc", rpc_id, self.wid, None))
-            return
-        events = self.tracer.events
-        tracks = sorted(self.tracer._tracks)
-        self.tracer.events = []
-        self.result_queue.put(
-            ("rpc", rpc_id, self.wid, (events, tracks, self.tracer._t0, os.getpid()))
-        )
+        """This worker's trace records, with clock origin and real pid
+        (:meth:`~repro.obs.trace.Tracer.take_records`: drains an unbounded
+        store, snapshots a ring)."""
+        payload = None
+        if self.tracer is not None:
+            payload = (self.tracer.take_records(), self.tracer._t0, os.getpid())
+        self.result_queue.put(("rpc", rpc_id, self.wid, payload))
 
     def replay(self, rpc_id, unacked_deliveries, unacked_rpcs, doom_after=None) -> None:
         """Rebuild state from the command WAL after a respawn.
@@ -504,8 +482,6 @@ class Worker:
             self.trace(command[1])
         elif op == "explain":
             self.explain(command[1], command[2])
-        elif op == "flight":
-            self.flight_snapshot(command[1])
         elif op == "replay":
             self.replay(command[1], command[2], command[3], command[4])
         elif op == "shutdown":

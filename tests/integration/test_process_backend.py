@@ -196,11 +196,12 @@ def test_sigkilled_worker_yields_post_mortem_flight_dump(workload, tmp_path):
     workers' rings collected over the command queue."""
     from repro.net.simulator import SimulationError
     from repro.obs.export import load_trace_events, validate_chrome_trace
-    from repro.obs.flight import FlightRecorder
+    from repro.obs.export import validate_flow_balance
+    from repro.obs.trace import DEFAULT_RING_CAPACITY
 
     links, deletions = workload
     dump = tmp_path / "postmortem.json"
-    recorder = FlightRecorder(dump_path=dump)
+    recorder = Tracer(DEFAULT_RING_CAPACITY, dump_path=dump)
     previous = install_tracer(recorder)
     try:
         executor = build_executor(
@@ -230,6 +231,7 @@ def test_sigkilled_worker_yields_post_mortem_flight_dump(workload, tmp_path):
     assert dump.exists()
     validate_chrome_trace(dump)
     events = load_trace_events(dump)
+    assert validate_flow_balance(events) == []
     marks = [e for e in events if e.get("name") == "flight-dump"]
     assert len(marks) == 1
     assert "died" in marks[0]["args"]["reason"]
@@ -265,7 +267,7 @@ def test_worker_traces_merge_into_coordinator_trace(workload):
         install_tracer(previous)
     deliver_pids = {
         event["pid"]
-        for event in tracer.events
+        for event in tracer.events()
         if event.get("name", "").startswith("deliver:")
     }
     # Every node's handler spans arrive on the node's own track despite

@@ -1,13 +1,15 @@
 """Property-based tests for the tracer's span discipline.
 
 For any interleaving of begin/end/instant/kernel-slice operations (across
-multiple tracks, including unbalanced sequences), the tracer must
+multiple tracks, including unbalanced sequences), the tracer — with either
+store — must
 (1) keep accurate open-span accounting, (2) close everything on ``finish``,
 and (3) emit an event list whose complete events nest as a proper tree on
 every (pid, tid) track — the invariant :func:`validate_span_nesting` checks
 and CI enforces on real traces.
 """
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.obs.export import trace_summary, validate_span_nesting
@@ -27,8 +29,12 @@ _STEPS = st.lists(
 )
 
 
-def _run_script(steps):
-    tracer = Tracer()
+#: Both stores: unbounded, and rings small enough that scripts evict.
+STORES = pytest.mark.parametrize("capacity", [None, 8], ids=["unbounded", "ring"])
+
+
+def _run_script(steps, capacity=None):
+    tracer = Tracer(capacity)
     open_spans = []
     flows = []
     for kind, pid, cat in steps:
@@ -47,17 +53,19 @@ def _run_script(steps):
     return tracer, open_spans
 
 
+@STORES
 @settings(max_examples=60, deadline=None)
 @given(_STEPS)
-def test_open_span_accounting(steps):
-    tracer, still_open = _run_script(steps)
+def test_open_span_accounting(capacity, steps):
+    tracer, still_open = _run_script(steps, capacity)
     assert tracer.open_span_count() == len(still_open)
 
 
+@STORES
 @settings(max_examples=60, deadline=None)
 @given(_STEPS)
-def test_finish_closes_everything_and_nesting_holds(steps):
-    tracer, _ = _run_script(steps)
+def test_finish_closes_everything_and_nesting_holds(capacity, steps):
+    tracer, _ = _run_script(steps, capacity)
     tracer.finish()
     assert tracer.open_span_count() == 0
     events = tracer.chrome_events()
@@ -65,12 +73,13 @@ def test_finish_closes_everything_and_nesting_holds(steps):
     assert validate_span_nesting(events) == []
 
 
+@STORES
 @settings(max_examples=60, deadline=None)
 @given(_STEPS)
-def test_flow_events_balance(steps):
-    tracer, _ = _run_script(steps)
+def test_flow_events_balance(capacity, steps):
+    tracer, _ = _run_script(steps, capacity)
     tracer.finish()
-    summary = trace_summary(tracer.events)
+    summary = trace_summary(tracer.events())
     assert summary["flow_starts"] == summary["flow_finishes"]
 
 
@@ -99,9 +108,9 @@ def test_kernel_slices_on_one_lane_never_overlap(durations):
         while tracer._now_us() - start < seconds * 1e6:
             pass
         tracer.kernel_slice(0, seconds)
-    assert validate_span_nesting(tracer.events) == []
+    assert validate_span_nesting(tracer.events()) == []
     spans = sorted(
-        (e for e in tracer.events if e.get("ph") == "X"), key=lambda e: e["ts"]
+        (e for e in tracer.events() if e.get("ph") == "X"), key=lambda e: e["ts"]
     )
     for earlier, later in zip(spans, spans[1:]):
         assert later["ts"] >= earlier["ts"] + earlier["dur"] - 0.5

@@ -320,10 +320,10 @@ class TestFaultSurfaces:
             executor = self._purge_run()
             dropped = executor.network.dropped_messages
         finally:
-            install_tracer(previous if isinstance(previous, Tracer) else None)
+            install_tracer(previous)
         instants = [
             event
-            for event in tracer.events
+            for event in tracer.events()
             if event.get("name") == "held-message-dropped"
         ]
         assert dropped > 0

@@ -162,7 +162,7 @@ class TestTraceIntegration:
             assert hop["src"] != hop["dst"]
 
     def test_inject_explain_flows_keeps_trace_valid(self, tmp_path):
-        from repro.obs.export import load_trace_events, write_trace
+        from repro.obs.export import load_trace_events
 
         tracer = Tracer()
         install_tracer(tracer)
@@ -172,7 +172,7 @@ class TestTraceIntegration:
         finally:
             install_tracer(None)
         path = tmp_path / "trace.json"
-        write_trace(tracer, path)
+        tracer.write(path)
         injected = inject_explain_flows(explanation, path)
         # One instant plus an s/f pair per base ref across both products.
         assert injected == 1 + 2 * sum(len(p) for p in explanation.products)
@@ -186,7 +186,7 @@ class TestTraceIntegration:
         assert validate_track_monotonicity(events) == []
 
     def test_inject_into_jsonl(self, tmp_path):
-        from repro.obs.export import load_trace_events, write_trace
+        from repro.obs.export import load_trace_events
 
         tracer = Tracer()
         install_tracer(tracer)
@@ -196,7 +196,7 @@ class TestTraceIntegration:
         finally:
             install_tracer(None)
         path = tmp_path / "trace.jsonl"
-        write_trace(tracer, path)
+        tracer.write(path)
         before = len(load_trace_events(path))
         injected = inject_explain_flows(explanation, path)
         assert injected > 0

@@ -6,7 +6,6 @@ import pytest
 
 from repro.engine.strategy import ExecutionStrategy
 from repro.obs.export import (
-    chrome_trace_dict,
     load_trace_events,
     trace_summary,
     validate_chrome_trace,
@@ -14,7 +13,6 @@ from repro.obs.export import (
     validate_span_nesting,
     validate_track_monotonicity,
     write_metrics_json,
-    write_trace,
 )
 from repro.obs.metrics import (
     Histogram,
@@ -28,8 +26,6 @@ from repro.obs.trace import (
     GC_TID,
     HARNESS_PID,
     KERNEL_TID,
-    NULL_TRACER,
-    NullTracer,
     Tracer,
     current_tracer,
     install_tracer,
@@ -47,24 +43,16 @@ def tracer():
     t = Tracer()
     previous = install_tracer(t)
     yield t
-    install_tracer(previous if isinstance(previous, Tracer) else None)
+    install_tracer(previous)
 
 
-class TestNullTracer:
-    def test_disabled_and_noop(self):
-        null = NullTracer()
-        assert null.enabled is False
-        assert null.begin(0, "x", "cat") is None
-        assert null.end(None) is None
-        assert null.instant(0, "x", "cat") is None
-        assert null.flow_start(0) is None
-        assert null.flow_finish(None, 0) is None
-        assert null.kernel_slice(0, 1.0) is None
-        assert null.context_pid(42) == 42
+#: Both stores: unbounded (``--trace``) and a ring roomy enough for each test.
+STORES = pytest.mark.parametrize("capacity", [None, 64], ids=["unbounded", "ring"])
 
-    def test_default_active_tracer_is_null(self):
-        assert current_tracer() is NULL_TRACER
-        assert current_tracer().enabled is False
+
+class TestInstall:
+    def test_tracing_is_off_by_default(self):
+        assert current_tracer() is None
 
     def test_install_and_restore(self):
         t = Tracer()
@@ -73,70 +61,95 @@ class TestNullTracer:
             assert current_tracer() is t
         finally:
             install_tracer(None)
-        assert current_tracer() is NULL_TRACER
-        assert previous is NULL_TRACER
+        assert current_tracer() is None
+        assert previous is None
 
 
-class TestTracer:
-    def test_span_records_duration_and_args(self):
-        t = Tracer()
+@STORES
+class TestRecordingSurface:
+    """The surface the instrumented engine calls, identical on both stores."""
+
+    def test_span_records_duration_and_args(self, capacity):
+        t = Tracer(capacity)
         span = t.begin(3, "work", "operator", sim_ts=1.5, args={"n": 7})
         t.end(span, args={"out": 2}, sim_ts=2.0)
-        assert span["ph"] == "X"
-        assert span["dur"] >= 0
-        assert span["args"] == {"n": 7, "sim": 1.5, "out": 2, "sim_end": 2.0}
+        t.instant(3, "mark", "chaos", sim_ts=2.5, args={"reason": "why"})
+        work, mark = t.events()
+        assert work["ph"] == "X" and work["dur"] >= 0
+        assert work["args"] == {"n": 7, "sim": 1.5, "out": 2, "sim_end": 2.0}
+        assert mark["ph"] == "i" and mark["args"] == {"reason": "why", "sim": 2.5}
         assert t.open_span_count() == 0
 
-    def test_nested_spans_balance(self):
-        t = Tracer()
+    def test_nested_spans_balance(self, capacity):
+        t = Tracer(capacity)
         outer = t.begin(0, "outer", "net")
         inner = t.begin(0, "inner", "routing")
         assert t.open_span_count() == 2
         t.end(inner)
         t.end(outer)
         assert t.open_span_count() == 0
-        assert validate_span_nesting(t.events) == []
+        assert validate_span_nesting(t.events()) == []
 
-    def test_finish_closes_dangling_spans(self):
-        t = Tracer()
+    def test_out_of_order_close(self, capacity):
+        t = Tracer(capacity)
+        first = t.begin(0, "first", "net")
+        second = t.begin(1, "second", "net")
+        t.end(first)
+        assert t.open_span_count() == 1
+        t.end(second)
+        assert t.open_span_count() == 0
+
+    def test_finish_closes_dangling_spans(self, capacity):
+        t = Tracer(capacity)
         t.begin(0, "left-open", "net")
         t.begin(0, "also-open", "net")
         t.finish()
         assert t.open_span_count() == 0
-        assert all(e["dur"] >= 0 for e in t.events)
+        assert all(e["dur"] >= 0 for e in t.events())
 
-    def test_flow_ids_increment_and_land(self):
-        t = Tracer()
+    def test_open_spans_render_ending_now_without_closing(self, capacity):
+        t = Tracer(capacity)
+        t.begin(3, "interrupted", "phase")
+        events = t.events()
+        assert [e["name"] for e in events] == ["interrupted"]
+        assert events[0]["dur"] >= 0
+        assert t.open_span_count() == 1  # rendering did not disturb recording
+
+    def test_flow_ids_increment_and_land(self, capacity):
+        t = Tracer(capacity)
         first = t.flow_start(0, sim_ts=0.1)
         second = t.flow_start(1)
         assert second == first + 1
         t.flow_finish(first, 2)
+        t.flow_finish(second, 2)
         t.flow_finish(None, 2)  # ignored
-        phases = [e["ph"] for e in t.events]
-        assert phases.count("s") == 2 and phases.count("f") == 1
+        events = t.events()
+        assert [e["ph"] for e in events].count("s") == 2
+        assert [e["ph"] for e in events].count("f") == 2
+        assert validate_flow_balance(events) == []
 
-    def test_kernel_slice_ends_now(self):
-        t = Tracer()
+    def test_kernel_slice_ends_now(self, capacity):
+        t = Tracer(capacity)
         t.kernel_slice(4, 0.001, sim_ts=0.5)
         t.kernel_slice(4, 0.0)  # zero seconds -> skipped
         t.kernel_slice(4, -1.0)  # negative -> skipped
-        slices = [e for e in t.events if e["tid"] == KERNEL_TID]
+        slices = [e for e in t.events() if e["tid"] == KERNEL_TID]
         assert len(slices) == 1
         event = slices[0]
         assert event["cat"] == "kernel"
         assert event["dur"] == pytest.approx(1000.0)
         assert event["ts"] + event["dur"] <= t._now_us() + 1.0
 
-    def test_node_context_attribution(self):
-        t = Tracer()
+    def test_node_context_attribution(self, capacity):
+        t = Tracer(capacity)
         assert t.context_pid(99) == 99
         t.set_node_context(3)
         assert t.context_pid(99) == 3
         t.clear_node_context()
         assert t.context_pid(99) == 99
 
-    def test_chrome_events_include_track_metadata(self):
-        t = Tracer()
+    def test_chrome_events_include_track_metadata(self, capacity):
+        t = Tracer(capacity)
         t.end(t.begin(2, "x", "net"))
         t.instant(CONTROL_PID, "rebalance", "control")
         events = t.chrome_events()
@@ -172,13 +185,14 @@ class TestValidation:
         assert any("dur" in e for e in validate_span_nesting(events))
 
 
+@STORES
 class TestAbsorb:
     """Merging worker traces must keep pids, flow ids and clocks collision-free."""
 
     @staticmethod
-    def _worker_tracer(t0_offset):
+    def _worker_tracer(capacity, t0_offset):
         """A 'worker' tracer whose pids and flow ids overlap every other worker's."""
-        worker = Tracer()
+        worker = Tracer(capacity)
         worker._t0 -= t0_offset  # pretend it started earlier
         span = worker.begin(0, "deliver:edge", "net", sim_ts=0.1)
         worker.end(span)
@@ -187,13 +201,12 @@ class TestAbsorb:
         worker.kernel_slice(CONTROL_PID + 1, 0.0005)
         return worker
 
-    def test_overlapping_workers_remap_cleanly(self):
-        coordinator = Tracer()
+    def test_overlapping_workers_remap_cleanly(self, capacity):
+        coordinator = Tracer(capacity)
         for wid in range(2):
-            worker = self._worker_tracer(t0_offset=0.5 * (wid + 1))
+            worker = self._worker_tracer(capacity, t0_offset=0.5 * (wid + 1))
             coordinator.absorb(
-                worker.events,
-                sorted(worker._tracks),
+                worker.take_records(),
                 worker._t0,
                 pid_offset=(wid + 1) * 8,
                 label=f"worker {wid}, pid {1000 + wid}",
@@ -210,16 +223,20 @@ class TestAbsorb:
         assert all(pid >= CONTROL_PID for pid in kernel_pids)
         assert {e["pid"] for e in events if e.get("ph") == "s"} == {0}
 
-    def test_unremapped_merge_is_detected(self):
+    def test_unremapped_merge_is_detected(self, capacity):
         """Without the flow-id remap two workers' flows collide — the validator sees it."""
-        coordinator = Tracer()
+        coordinator = Tracer(capacity)
         for wid in range(2):
-            worker = self._worker_tracer(t0_offset=0.1)
-            coordinator.absorb(
-                worker.events, sorted(worker._tracks), worker._t0, pid_offset=0
-            )
-        errors = validate_flow_balance(coordinator.events)
+            worker = self._worker_tracer(capacity, t0_offset=0.1)
+            coordinator.absorb(worker.take_records(), worker._t0, pid_offset=0)
+        errors = validate_flow_balance(coordinator.events())
         assert errors and any("started twice" in error for error in errors)
+
+    def test_take_records_drains_unbounded_and_snapshots_ring(self, capacity):
+        worker = self._worker_tracer(capacity, t0_offset=0.0)
+        first = worker.take_records()
+        assert len(first) == 4
+        assert len(worker.take_records()) == (0 if capacity is None else 4)
 
 
 class TestFlowAndMonotonicValidators:
@@ -281,7 +298,7 @@ class TestExport:
         t = Tracer()
         t.end(t.begin(1, "x", "net"))
         path = tmp_path / "trace.json"
-        write_trace(t, path)
+        assert t.write(path) == str(path)
         events = load_trace_events(path)
         spans = [e for e in events if e.get("ph") == "X"]
         assert len(spans) == 1 and spans[0]["name"] == "x"
@@ -293,24 +310,26 @@ class TestExport:
         t.end(t.begin(1, "x", "net"))
         t.instant(1, "mark", "inject")
         path = tmp_path / "trace.jsonl"
-        write_trace(t, path)
+        t.write(path)
         lines = [l for l in path.read_text().splitlines() if l.strip()]
         assert all(json.loads(line) for line in lines)
         events = load_trace_events(path)
         assert trace_summary(events)["spans"] == 1
 
-    def test_chrome_trace_dict_finishes(self):
+    def test_export_renders_open_spans_ending_now(self, tmp_path):
         t = Tracer()
         t.begin(0, "open", "net")
-        data = chrome_trace_dict(t)
-        assert t.open_span_count() == 0
-        assert any(e.get("ph") == "X" for e in data["traceEvents"])
+        path = tmp_path / "trace.json"
+        t.write(path)
+        spans = [e for e in load_trace_events(path) if e.get("ph") == "X"]
+        assert len(spans) == 1 and spans[0]["dur"] >= 0
+        assert t.open_span_count() == 1
 
     def test_validate_chrome_trace_missing_category(self, tmp_path):
         t = Tracer()
         t.end(t.begin(1, "x", "net"))
         path = tmp_path / "trace.json"
-        write_trace(t, path)
+        t.write(path)
         with pytest.raises(ValueError, match="missing span categories"):
             validate_chrome_trace(path, require_categories=["kernel"])
 
@@ -318,7 +337,7 @@ class TestExport:
         t = Tracer()
         t.end(t.begin(HARNESS_PID, "only-synthetic", "harness"))
         path = tmp_path / "trace.json"
-        write_trace(t, path)
+        t.write(path)
         with pytest.raises(ValueError, match="per-node tracks"):
             validate_chrome_trace(path, require_node_tracks=1)
 
@@ -401,23 +420,41 @@ class TestTracedExecutor:
 
     def test_all_phase_buckets_present(self, traced_run):
         _, t = traced_run
-        categories = {e.get("cat") for e in t.events if e.get("ph") == "X"}
+        categories = {e.get("cat") for e in t.events() if e.get("ph") == "X"}
         assert {"net", "routing", "operator", "kernel", "gc", "phase"} <= categories
 
     def test_per_node_tracks(self, traced_run):
         executor, t = traced_run
-        summary = trace_summary(t.events)
+        summary = trace_summary(t.events())
         assert set(summary["node_pids"]) == set(range(len(executor.nodes)))
 
     def test_nesting_is_valid(self, traced_run):
         _, t = traced_run
-        assert validate_span_nesting(t.events) == []
+        assert validate_span_nesting(t.events()) == []
 
     def test_flows_balance(self, traced_run):
         _, t = traced_run
-        summary = trace_summary(t.events)
+        summary = trace_summary(t.events())
         assert summary["flow_starts"] > 0
         assert summary["flow_finishes"] == summary["flow_starts"]
+
+    def test_failed_phase_closes_its_span(self, tracer):
+        """A phase the harness survives (a budget cut) must not leave its span
+        open past the experiment span enclosing it."""
+        from repro.net.simulator import SimulationBudgetExceeded
+
+        experiment = tracer.begin(HARNESS_PID, "experiment:cut", "harness")
+        executor = build_executor(
+            reachability_plan(),
+            ExecutionStrategy.absorption_lazy(),
+            node_count=4,
+            max_events=50,
+        )
+        with pytest.raises(SimulationBudgetExceeded):
+            executor.insert_edges(TINY_TOPOLOGY.link_tuples())
+        tracer.end(experiment)
+        assert tracer.open_span_count() == 0
+        assert validate_span_nesting(tracer.events()) == []
 
     def test_untraced_executor_has_no_tracer_on_hot_path(self):
         install_tracer(None)
@@ -458,7 +495,7 @@ class TestCliObservability:
             ]
         )
         assert exit_code == 0
-        assert current_tracer() is NULL_TRACER
+        assert current_tracer() is None
         assert current_metrics_log() is None
         summary = validate_chrome_trace(
             trace_path,
@@ -469,6 +506,25 @@ class TestCliObservability:
         assert data["snapshots"]
         output = capsys.readouterr().out
         assert "wrote trace" in output and "wrote metrics" in output
+
+    def test_harness_error_dumps_the_flight_recorder(self, tmp_path, monkeypatch):
+        from repro.harness.cli import main
+
+        def failing_run(name, config):
+            current_tracer().instant(0, "before-failure", "harness", args={"why": "test"})
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr("repro.harness.cli.run", failing_run)
+        dump = tmp_path / "fd.json"
+        with pytest.raises(RuntimeError, match="boom"):
+            main(["--quick", "--flight-dump", str(dump), "fig11"])
+        assert current_tracer() is None
+        events = load_trace_events(dump)
+        marks = [e for e in events if e.get("name") == "flight-dump"]
+        assert len(marks) == 1 and "RuntimeError: boom" in marks[0]["args"]["reason"]
+        by_name = {e.get("name"): e for e in events}
+        assert by_name["before-failure"]["args"] == {"why": "test"}
+        assert by_name["experiment:figure11"]["ph"] == "X"
 
     def test_fig_alias(self, monkeypatch, capsys):
         from repro.harness.cli import main

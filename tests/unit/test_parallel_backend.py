@@ -103,9 +103,11 @@ def test_absorb_remaps_synthetic_pids_and_shifts_clock():
     worker.end(span)
     span = worker.begin(KERNEL_PID, "gc", "gc")
     worker.end(span)
-    events, tracks = list(worker.events), sorted(worker._tracks)
-    coordinator.absorb(events, tracks, worker._t0, pid_offset=8, label="worker 1, pid 42")
-    pids = {event["pid"] for event in coordinator.events}
+    coordinator.absorb(
+        worker.take_records(), worker._t0, pid_offset=8, label="worker 1, pid 42"
+    )
+    events = coordinator.events()
+    pids = {event["pid"] for event in events}
     assert 3 in pids  # node tracks are globally unique: pass through
     assert KERNEL_PID + 8 in pids  # synthetic tracks shift per worker
     assert KERNEL_PID not in pids
@@ -114,16 +116,14 @@ def test_absorb_remaps_synthetic_pids_and_shifts_clock():
     assert labels[KERNEL_PID + 8] == "bdd-kernel [worker 1, pid 42]"
     # Both tracers read CLOCK_MONOTONIC; after the origin shift every absorbed
     # timestamp must be non-negative on the coordinator clock.
-    assert all(event["ts"] >= 0 for event in coordinator.events)
+    assert all(event["ts"] >= 0 for event in events)
 
 
 def test_absorbed_trace_exports_with_real_pid_labels():
     coordinator, worker = Tracer(), Tracer()
     span = worker.begin(CONTROL_PID, "flush", "net")
     worker.end(span)
-    coordinator.absorb(
-        list(worker.events), sorted(worker._tracks), worker._t0, 16, "worker 2, pid 99"
-    )
+    coordinator.absorb(worker.take_records(), worker._t0, 16, "worker 2, pid 99")
     names = {
         event["args"]["name"]
         for event in coordinator.chrome_events()

@@ -7,7 +7,11 @@ categories and per-node track presence via
 summary.  Exit status 1 on any violation::
 
     PYTHONPATH=src python scripts/validate_trace.py trace.json \
-        --require-cats kernel routing operator net gc
+        --require-cats kernel routing operator net gc --check-flows --min-flows 1000
+
+Only the simulator backend records message flows: a process-backend trace
+has none, so ``--check-flows`` passes on it vacuously and ``--min-flows`` is
+what tells a trace with flows from one without.
 """
 
 from __future__ import annotations
@@ -47,7 +51,14 @@ def main(argv=None) -> int:
         "--check-flows",
         action="store_true",
         help="also require every flow finish to pair with exactly one start "
-        "(catches unremapped ids on merged process-backend traces)",
+        "(catches unremapped ids when worker records are merged)",
+    )
+    parser.add_argument(
+        "--min-flows",
+        type=int,
+        default=0,
+        metavar="N",
+        help="minimum number of flow starts (default 0; process-backend traces have none)",
     )
     parser.add_argument(
         "--check-monotonic",
@@ -66,6 +77,10 @@ def main(argv=None) -> int:
         print(f"INVALID: {args.trace}: {exc}", file=sys.stderr)
         return 1
     problems = []
+    if summary["flow_starts"] < args.min_flows:
+        problems.append(
+            f"{summary['flow_starts']} flow start(s), fewer than --min-flows {args.min_flows}"
+        )
     if args.check_flows or args.check_monotonic:
         events = load_trace_events(args.trace)
         if args.check_flows:

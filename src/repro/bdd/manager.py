@@ -1142,16 +1142,8 @@ class BDDManager:
         self._handles = [ref for ref in self._handles if ref() is not None]
         self._handle_prune_size = max(2 * len(self._handles), DEFAULT_HANDLE_PRUNE)
 
-    def collect(self, force: bool = False) -> Dict[str, object]:
-        """Mark-and-sweep the node table; compact and renumber when worthwhile.
-
-        Roots are every live :class:`BDD` handle plus anything yielded by the
-        enrolled root sources.  When the dead fraction reaches
-        ``gc_threshold`` (or ``force`` is true) the table is compacted, every
-        live handle's node id is rewritten in place, and the id-keyed memo
-        caches are remapped through the renumbering; otherwise the pass only
-        backs off the trigger size.  Returns a summary of the pass.
-        """
+    def _gc_span(self, name: str, args: Dict[str, object]):
+        """``(tracer, open span)`` for a GC pass, or ``(None, None)`` untraced."""
         # The kernel is the lowest layer and imports nothing above it at
         # module load (``repro.obs`` imports the provenance layer, which
         # imports this module).  GC runs are rare and already pay a full
@@ -1160,48 +1152,37 @@ class BDDManager:
         from repro.obs.trace import GC_TID, KERNEL_PID, current_tracer
 
         tracer = current_tracer()
-        span = None
-        if tracer is not None:
-            # The node-context pid attributes passes triggered inside a
-            # delivery to that node's track; passes outside any handler land
-            # on the shared ``bdd-kernel`` track.
-            span = tracer.begin(
-                tracer.context_pid(KERNEL_PID),
-                "gc-pass",
-                "gc",
-                tid=GC_TID,
-                args={"forced": force},
-            )
-        t0 = _perf_counter()
-        gc = self.gc
+        if tracer is None:
+            return None, None
+        # The node-context pid attributes passes triggered inside a delivery
+        # to that node's track; passes outside any handler land on the shared
+        # ``bdd-kernel`` track.
+        return tracer, tracer.begin(
+            tracer.context_pid(KERNEL_PID), name, "gc", tid=GC_TID, args=args
+        )
+
+    def _mark(self, handles: Iterable[Optional[BDD]]):
+        """Mark every node reachable from ``handles`` or a root source.
+
+        ``None`` entries (dead handles) are skipped.  Changes nothing; returns
+        the mark bytearray over the table and the root sources whose owner is
+        still alive.
+        """
         table = self._table
         low_arr = table._low
         high_arr = table._high
-        size = len(low_arr)
-        if size > gc.peak_table_size:
-            gc.peak_table_size = size
-
-        marked = bytearray(size)
+        marked = bytearray(len(low_arr))
         marked[FALSE] = 1
         marked[TRUE] = 1
         stack: List[int] = []
         push = stack.append
-        # Strong-ref the live handles for the duration of the pass (they are
-        # both the root set and the renumbering targets) and prune dead refs.
-        handles: List[BDD] = []
-        live_refs: List["weakref.ref[BDD]"] = []
-        for ref in self._handles:
-            handle = ref()
+        for handle in handles:
             if handle is None:
                 continue
-            handles.append(handle)
-            live_refs.append(ref)
             n = handle.node
             if not marked[n]:
                 marked[n] = 1
                 push(n)
-        self._handles = live_refs
-        self._handle_prune_size = max(2 * len(live_refs), DEFAULT_HANDLE_PRUNE)
         live_sources = []
         for source in self._root_sources:
             roots = source()
@@ -1213,7 +1194,6 @@ class BDDManager:
                 if not marked[n]:
                     marked[n] = 1
                     push(n)
-        self._root_sources = live_sources
         pop = stack.pop
         while stack:
             n = pop()
@@ -1225,6 +1205,37 @@ class BDDManager:
             if not marked[child]:
                 marked[child] = 1
                 push(child)
+        return marked, live_sources
+
+    def collect(self, force: bool = False) -> Dict[str, object]:
+        """Mark-and-sweep the node table; compact and renumber when worthwhile.
+
+        Roots are every live :class:`BDD` handle plus anything yielded by the
+        enrolled root sources.  When the dead fraction reaches
+        ``gc_threshold`` (or ``force`` is true) the table is compacted, every
+        live handle's node id is rewritten in place, and the id-keyed memo
+        caches are remapped through the renumbering; otherwise the pass only
+        backs off the trigger size.  Returns a summary of the pass.
+        """
+        tracer, span = self._gc_span("gc-pass", {"forced": force})
+        t0 = _perf_counter()
+        gc = self.gc
+        table = self._table
+        size = len(table._low)
+        if size > gc.peak_table_size:
+            gc.peak_table_size = size
+        # Strong-ref the live handles for the duration of the pass (they are
+        # both the root set and the renumbering targets) and prune dead refs.
+        handles: List[BDD] = []
+        live_refs: List["weakref.ref[BDD]"] = []
+        for ref in self._handles:
+            handle = ref()
+            if handle is not None:
+                handles.append(handle)
+                live_refs.append(ref)
+        self._handles = live_refs
+        self._handle_prune_size = max(2 * len(live_refs), DEFAULT_HANDLE_PRUNE)
+        marked, self._root_sources = self._mark(handles)
 
         live = sum(marked)
         dead = size - live
@@ -1252,6 +1263,23 @@ class BDDManager:
             "reclaimed": dead if compacted else 0,
             "pause_s": pause,
         }
+        if span is not None:
+            tracer.end(span, args=summary)
+        return summary
+
+    def census(self) -> Dict[str, int]:
+        """Count live and dead nodes without collecting anything.
+
+        The same mark as :meth:`collect`, but nothing is compacted or pruned
+        and no GC counter, pause or trigger moves, so a run that takes a
+        census computes exactly what the same run without one does.  Traced
+        runs take one at each phase boundary, which gives every trace a
+        ``gc`` span even when no collection fired.
+        """
+        tracer, span = self._gc_span("gc-census", {})
+        marked = self._mark(ref() for ref in self._handles)[0]
+        live = sum(marked)
+        summary = {"live_nodes": live, "dead_nodes": len(marked) - live}
         if span is not None:
             tracer.end(span, args=summary)
         return summary

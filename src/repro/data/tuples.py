@@ -82,27 +82,27 @@ class Schema:
                 values = tuple(named[attribute] for attribute in self.attributes)
             except KeyError as exc:
                 raise SchemaError(f"missing attribute {exc.args[0]!r}") from exc
-        if len(values) != self.arity:
+        if len(values) != len(self.attributes):
             raise SchemaError(
                 f"{self.relation!r} expects {self.arity} values, got {len(values)}"
             )
-        return Tuple(self, tuple(values))
+        return Tuple(self, values)
 
 
 def _value_size(value: Any) -> int:
-    """Estimated wire size of a single attribute value in bytes."""
-    if value is None:
-        return 1
-    if isinstance(value, bool):
-        return 1
-    if isinstance(value, int):
-        return 8
-    if isinstance(value, float):
-        return 8
+    """Estimated wire size of a single attribute value in bytes.
+
+    A string costs its UTF-8 length; an ASCII one, such as a node name, is
+    measured without encoding it.
+    """
     if isinstance(value, str):
-        return len(value.encode("utf-8"))
+        return len(value) if value.isascii() else len(value.encode("utf-8"))
+    if value is None or isinstance(value, bool):
+        return 1
+    if isinstance(value, (int, float)):
+        return 8
     if isinstance(value, (tuple, list, frozenset, set)):
-        return 4 + sum(_value_size(item) for item in value)
+        return 4 + sum(map(_value_size, value))
     return 16
 
 
@@ -112,9 +112,10 @@ class Tuple:
     Tuples are the engine's universal dictionary key (``P`` tables, join
     indexes, MinShip buffers), so their identity operations are hot paths: a
     plain ``__slots__`` class (constructed once per derived delta), the hash
-    computed lazily and cached, attribute access through the schema's
+    computed once in the constructor, attribute access through the schema's
     precomputed position table, and the ``key``/wire-size values memoised on
-    first use.  Treat instances as immutable.
+    first use (``None`` until then).  Values must be hashable; treat
+    instances as immutable.
     """
 
     __slots__ = ("schema", "values", "_hash", "_key", "_size")
@@ -122,6 +123,9 @@ class Tuple:
     def __init__(self, schema: Schema, values: PyTuple[Any, ...]) -> None:
         self.schema = schema
         self.values = values
+        self._hash = hash((schema.relation, values))
+        self._key = None
+        self._size = None
 
     def __getitem__(self, attribute: str) -> Any:
         try:
@@ -132,12 +136,7 @@ class Tuple:
             ) from exc
 
     def __hash__(self) -> int:
-        try:
-            return self._hash
-        except AttributeError:
-            value = hash((self.schema.relation, self.values))
-            self._hash = value
-            return value
+        return self._hash
 
     def __eq__(self, other: object) -> bool:
         if self is other:
@@ -162,12 +161,10 @@ class Tuple:
     @property
     def key(self) -> PyTuple[Any, ...]:
         """Hashable identity used in provenance hash tables: (relation, values)."""
-        try:
-            return self._key
-        except AttributeError:
-            value = (self.schema.relation,) + self.values
-            self._key = value
-            return value
+        key = self._key
+        if key is None:
+            key = self._key = (self.schema.relation,) + self.values
+        return key
 
     @property
     def partition_value(self) -> Any:
@@ -196,18 +193,16 @@ class Tuple:
 
     def size_bytes(self) -> int:
         """Estimated wire size of the tuple payload (no provenance), memoised."""
-        try:
-            return self._size
-        except AttributeError:
-            value = 4 + sum(_value_size(value) for value in self.values)
-            self._size = value
-            return value
+        size = self._size
+        if size is None:
+            size = self._size = 4 + sum(map(_value_size, self.values))
+        return size
 
     def __getstate__(self):
         return (self.schema, self.values)
 
     def __setstate__(self, state):
-        self.schema, self.values = state
+        self.__init__(*state)
 
     def __iter__(self) -> Iterator[Any]:
         return iter(self.values)

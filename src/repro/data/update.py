@@ -37,10 +37,11 @@ class Update:
     A plain ``__slots__`` class rather than a frozen dataclass: updates are
     constructed once per emitted delta on every operator path, and the frozen
     dataclass ``__init__`` (one ``object.__setattr__`` per field) was a
-    measurable cost there.  Treat instances as immutable.
+    measurable cost there.  ``is_insert`` is stored by the constructor, since
+    every operator branches on it per update.  Treat instances as immutable.
     """
 
-    __slots__ = ("type", "tuple", "provenance", "timestamp", "origin_node")
+    __slots__ = ("type", "tuple", "provenance", "timestamp", "origin_node", "is_insert")
 
     def __init__(
         self,
@@ -55,6 +56,8 @@ class Update:
         self.provenance = provenance
         self.timestamp = timestamp
         self.origin_node = origin_node
+        #: True for INS updates.
+        self.is_insert = type is UpdateType.INS
 
     def __eq__(self, other: object) -> bool:
         if self is other:
@@ -78,12 +81,7 @@ class Update:
         return (self.type, self.tuple, self.provenance, self.timestamp, self.origin_node)
 
     def __setstate__(self, state):
-        self.type, self.tuple, self.provenance, self.timestamp, self.origin_node = state
-
-    @property
-    def is_insert(self) -> bool:
-        """True for INS updates."""
-        return self.type is UpdateType.INS
+        self.__init__(*state)
 
     @property
     def is_delete(self) -> bool:

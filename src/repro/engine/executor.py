@@ -327,11 +327,11 @@ class DistributedViewExecutor:
 
         self._update_live_base(edge_inserts, edge_deletes, seed_inserts, seed_deletes)
         if self.tracer is not None:
-            # One boundary collection pass (mark-only unless the dead fraction
-            # warrants compacting) so every traced run carries GC spans even
-            # when no automatic collection fired mid-phase.  Phases are
-            # quiescent here, which is exactly when a pass is safe.
-            self.store.collect(force=False)
+            # A boundary census so every traced run carries a GC span even
+            # when no collection fired mid-phase.  It only counts: a pass that
+            # compacted or backed off the trigger here would make traced and
+            # untraced runs compute different numbers.
+            self.store.census()
         phase = self._collect_phase(
             label,
             phase_start,

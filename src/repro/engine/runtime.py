@@ -590,23 +590,16 @@ class ProcessorNode:
         if not updates:
             return
         size_bytes = self.store.size_bytes
-        size = 0
+        annotation_total = size = 0
+        for update in updates:
+            annotation = update.provenance
+            annotation_bytes = 0 if annotation is None else size_bytes(annotation)
+            annotation_total += annotation_bytes
+            size += update.size_bytes(annotation_bytes)
         if destination != self.node_id:
-            annotation_total = 0
-            for update in updates:
-                annotation = update.provenance
-                annotation_bytes = size_bytes(annotation) if annotation is not None else 0
-                annotation_total += annotation_bytes
-                size += update.size_bytes(provenance_bytes=annotation_bytes)
             # One stats call per message, not one per update: record_provenance
             # is a pure accumulator, so totals are identical.
             self.network.stats.record_provenance(annotation_total, len(updates))
-        else:
-            for update in updates:
-                annotation = update.provenance
-                size += update.size_bytes(
-                    provenance_bytes=size_bytes(annotation) if annotation is not None else 0
-                )
         self.network.send(self.node_id, destination, port, updates, size, at_time=now)
 
     # -- durability (checkpoint / recovery support) ----------------------------------------------------------

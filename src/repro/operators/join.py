@@ -305,21 +305,18 @@ class PipelinedHashJoin(Operator):
         left_is_update: bool,
     ) -> List[Update]:
         outputs: List[Update] = []
-        key = mine.key_fn(tuple_)
-        for match in other.matches(key):
-            if left_is_update:
-                joined = self._combine(tuple_, match)
-            else:
-                joined = self._combine(match, tuple_)
+        store = self.store
+        conjoin, is_zero, combine = store.conjoin, store.is_zero, self._combine
+        one = store.one()
+        annotations = other.provenance
+        for match in other.matches(mine.key_fn(tuple_)):
+            joined = combine(tuple_, match) if left_is_update else combine(match, tuple_)
             if joined is None:
                 continue
-            other_annotation = other.provenance.get(match, self.store.one())
-            annotation = self.store.conjoin(delta, other_annotation)
-            if self.store.is_zero(annotation):
+            annotation = conjoin(delta, annotations.get(match, one))
+            if is_zero(annotation):
                 continue
-            outputs.append(
-                Update(out_type, joined, provenance=annotation, timestamp=timestamp)
-            )
+            outputs.append(Update(out_type, joined, annotation, timestamp))
         return outputs
 
     # -- broadcast deletions --------------------------------------------------------------------

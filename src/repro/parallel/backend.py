@@ -80,9 +80,9 @@ class _ClusterStore:
                     merged[key] = merged.get(key, 0) + value
         return merged
 
-    def collect(self, force: bool = False) -> None:
-        """A cluster-wide GC pass (each worker collects its own manager)."""
-        self._executor._coordinator.broadcast("collect", force)
+    def census(self) -> None:
+        """A cluster-wide GC census (each worker counts its own manager)."""
+        self._executor._coordinator.broadcast("census")
 
 
 class _ClusterRoutingStats:

@@ -12,7 +12,7 @@ Commands (coordinator → worker)::
             | "kernel_stats" | "metrics" | "routing", rpc_id)  # quiescent reads
     ("trace",   rpc_id)                                  # tracer records (drain / ring snapshot)
     ("explain", rpc_id, view_tuple)                      # one tuple's canonical products
-    ("collect", rpc_id, force)                           # kernel GC pass
+    ("census",  rpc_id)                                  # kernel GC census (traced runs)
     ("replay",  rpc_id, unacked_delivery_ids, unacked_rpc_ids, doom_after)  # WAL recovery
     ("shutdown",)
 

@@ -360,8 +360,8 @@ class Worker:
     def kernel_stats(self, rpc_id) -> None:
         self.result_queue.put(("rpc", rpc_id, self.wid, self.store.kernel_stats()))
 
-    def collect(self, rpc_id, force: bool) -> None:
-        self.store.collect(force=force)
+    def census(self, rpc_id) -> None:
+        self.store.census()
         self.result_queue.put(("rpc", rpc_id, self.wid, None))
 
     def metrics(self, rpc_id) -> None:
@@ -472,8 +472,8 @@ class Worker:
             self.state_bytes(command[1])
         elif op == "kernel_stats":
             self.kernel_stats(command[1])
-        elif op == "collect":
-            self.collect(command[1], command[2])
+        elif op == "census":
+            self.census(command[1])
         elif op == "metrics":
             self.metrics(command[1])
         elif op == "routing":

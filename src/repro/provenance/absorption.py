@@ -220,9 +220,9 @@ class AbsorptionProvenanceStore(ProvenanceStore):
         """Cumulative wall seconds spent inside the BDD kernel loops."""
         return self.manager.kernel_seconds
 
-    def collect(self, force: bool = False):
-        """Run one mark(-and-compact) pass of the BDD manager's collector."""
-        return self.manager.collect(force=force)
+    def census(self):
+        """The BDD manager's live/dead node count (see ``BDDManager.census``)."""
+        return self.manager.census()
 
     # -- diagnostics ----------------------------------------------------------
     def cache_stats(self):

@@ -178,12 +178,13 @@ class ProvenanceStore(abc.ABC):
         """
         return 0.0
 
-    def collect(self, force: bool = False) -> Optional[Dict[str, object]]:
-        """Run one annotation-storage collection pass, if the store has one.
+    def census(self) -> Optional[Dict[str, int]]:
+        """Count live and dead annotation storage without collecting it.
 
-        Traced runs trigger a pass at each phase boundary so every trace
-        contains GC spans even when no automatic collection fired; value-typed
-        stores have nothing to collect and return ``None``.
+        Traced runs take one at each phase boundary so every trace contains
+        GC spans even when no automatic collection fired; it changes nothing
+        the run computes.  Value-typed stores have no storage to count and
+        return ``None``.
         """
         return None
 

@@ -1,5 +1,7 @@
 """Unit tests for schemas, tuples, updates and relations."""
 
+import pickle
+
 import pytest
 
 from repro.data import (
@@ -10,8 +12,11 @@ from repro.data import (
     UpdateType,
 )
 from repro.data.relation import stable_hash
-from repro.data.tuples import SchemaError, make_schema
+from repro.data.tuples import SchemaError, _value_size, make_schema
 from repro.data.update import delete, insert
+from repro.engine.strategy import ExecutionStrategy
+from repro.queries import build_executor, reachability_plan
+from repro.workloads import TransitStubConfig, generate_topology
 
 
 @pytest.fixture()
@@ -109,6 +114,38 @@ class TestTuple:
         assert list(link) == ["A", "B", 1.0]
         assert "link(" in repr(link)
 
+    def test_hash_formula(self, link):
+        # Set and dict iteration order, hence event order, depends on it.
+        assert hash(link) == hash(("link", ("A", "B", 1.0)))
+
+    def test_pickle_round_trip_keeps_identity_and_size(self, link):
+        key, size = link.key, link.size_bytes()
+        restored = pickle.loads(pickle.dumps(link))
+        assert restored == link
+        assert hash(restored) == hash(link)
+        assert restored.key == key
+        assert restored.size_bytes() == size
+
+    @pytest.mark.parametrize(
+        "value, size",
+        [
+            ("", 0),
+            ("abc", 3),
+            ("\u00e9", 2),
+            ("\u6771\u4eac", 6),
+            (7, 8),
+            (2.5, 8),
+            (None, 1),
+            (True, 1),
+            ((1, "ab", None), 4 + 8 + 2 + 1),
+            ([(1,), frozenset({"x"})], 4 + (4 + 8) + (4 + 1)),
+            (object(), 16),
+        ],
+    )
+    def test_value_size(self, value, size):
+        # Strings cost their UTF-8 length, whether or not they are ASCII.
+        assert _value_size(value) == size
+
 
 class TestUpdate:
     def test_insert_delete_helpers(self, link):
@@ -130,6 +167,41 @@ class TestUpdate:
 
     def test_relation_property(self, link):
         assert insert(link).relation == "link"
+
+    @pytest.mark.parametrize("make", [insert, delete])
+    def test_is_insert_survives_copies(self, link, make):
+        update = make(link, provenance="pv", timestamp=1.5)
+        expected = update.type is UpdateType.INS
+        for copy in (
+            pickle.loads(pickle.dumps(update)),
+            update.with_provenance("other"),
+            update.with_timestamp(2.5),
+        ):
+            assert copy.is_insert is expected
+            assert copy.is_delete is not expected
+        assert update.inverted().is_insert is not expected
+        assert update.inverted().inverted().is_insert is expected
+
+    def test_dred_wire_bytes_pinned(self):
+        """Byte identity of the wire-size formula on a tiny DRed run.
+
+        Every ``communication_mb`` figure is these totals; a change to how
+        tuples or updates are sized must not move them.
+        """
+        topology = generate_topology(
+            TransitStubConfig(nodes_per_stub=2, stubs_per_transit=2, dense=True, seed=5)
+        )
+        links = topology.link_tuples()
+        executor = build_executor(reachability_plan(), ExecutionStrategy.dred(), node_count=4)
+        totals = []
+        for run_phase, edges in (
+            (executor.insert_edges, links),
+            (executor.delete_edges, links[::3]),
+            (executor.insert_edges, links[::3]),
+        ):
+            run_phase(edges)
+            totals.append(executor.network.stats.total_bytes)
+        assert totals == [16966, 22327, 12762]
 
 
 class TestRelation:

@@ -1,6 +1,8 @@
 """Unit tests for the observability layer: tracer, metrics registry, export."""
 
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
@@ -437,6 +439,42 @@ class TestTracedExecutor:
         summary = trace_summary(t.events())
         assert summary["flow_starts"] > 0
         assert summary["flow_finishes"] == summary["flow_starts"]
+
+    def test_tracing_does_not_change_what_the_kernel_does(self):
+        """A flight-recorded run and an untraced one compute the same things."""
+
+        def kernel_counters(tracer):
+            previous = install_tracer(tracer)
+            try:
+                executor = build_executor(
+                    reachability_plan(), ExecutionStrategy.absorption_lazy(), node_count=4
+                )
+                links = TINY_TOPOLOGY.link_tuples()
+                executor.insert_edges(links)
+                executor.delete_edges(links[::4])
+                executor.insert_edges(links[::4])
+            finally:
+                install_tracer(previous)
+            gc_counters = {
+                key: value
+                for key, value in executor.store.kernel_stats().items()
+                if not key.endswith("_s")
+            }
+            return executor.store.cache_stats(), gc_counters
+
+        assert kernel_counters(Tracer(capacity=64)) == kernel_counters(None)
+
+    def test_validate_trace_min_flows(self, traced_run, tmp_path, capsys):
+        script = Path(__file__).resolve().parents[2] / "scripts" / "validate_trace.py"
+        spec = importlib.util.spec_from_file_location("validate_trace", script)
+        validate_trace = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(validate_trace)
+        _, t = traced_run
+        path = str(t.write(tmp_path / "t.json"))
+        flows = trace_summary(t.events())["flow_starts"]
+        assert validate_trace.main([path, "--check-flows", "--min-flows", str(flows)]) == 0
+        assert validate_trace.main([path, "--min-flows", str(flows + 1)]) == 1
+        assert "fewer than --min-flows" in capsys.readouterr().err
 
     def test_failed_phase_closes_its_span(self, tracer):
         """A phase the harness survives (a budget cut) must not leave its span

@@ -51,7 +51,7 @@ def main(argv=None) -> int:
         "--check-flows",
         action="store_true",
         help="also require every flow finish to pair with exactly one start "
-        "(catches unremapped ids when worker records are merged)",
+        "(catches duplicate or unpaired ids, e.g. from merging records)",
     )
     parser.add_argument(
         "--min-flows",

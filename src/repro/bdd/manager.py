@@ -1557,6 +1557,22 @@ class BDDManager:
         ]
         return self.disjoin_many(terms)
 
+    def release(self) -> None:
+        """Drop the node table, the memo caches and the variable maps.
+
+        For an owner that is done with the manager: reference counting frees
+        them at once, whatever reference cycles still reach the manager or its
+        handles.  The work counters survive; any operation on the manager or
+        on one of its handles fails afterwards.
+        """
+        self._table = None
+        self.clear_caches()
+        self._handles = []
+        self._root_sources = []
+        self._variable_handles = {}
+        self._index_by_name = {}
+        self._name_by_index = {}
+
     def clear_caches(self) -> None:
         """Drop operation caches (the node table itself is kept).
 

@@ -5,6 +5,12 @@ immutable and hashable so that they can be used directly as keys in the
 provenance hash tables of the Fixpoint / join / MinShip operators
 (Algorithms 1-4 in the paper), and they know how to estimate their own wire
 size so the harness can report communication overhead in bytes.
+
+Tuples are hash-consed, as BDD nodes are in :class:`~repro.bdd.node.NodeTable`:
+:meth:`Schema.tuple` returns one shared instance per distinct
+``(schema, values)``, so a delta stream that re-derives the same tuple many
+times pays for its hash, key and wire size once.  The executor empties the
+table when it closes (:func:`clear_interned_tuples`).
 """
 
 from __future__ import annotations
@@ -46,6 +52,7 @@ class Schema:
         object.__setattr__(
             self, "_index", {attribute: i for i, attribute in enumerate(self.attributes)}
         )
+        object.__setattr__(self, "_tuples", _INTERNED.setdefault(self, {}))
 
     def __getstate__(self):
         return (self.relation, self.attributes, self.partition_attribute)
@@ -58,6 +65,7 @@ class Schema:
         object.__setattr__(
             self, "_index", {attribute: i for i, attribute in enumerate(attributes)}
         )
+        object.__setattr__(self, "_tuples", _INTERNED.setdefault(self, {}))
 
     @property
     def arity(self) -> int:
@@ -74,7 +82,12 @@ class Schema:
             ) from exc
 
     def tuple(self, *values: Any, **named: Any) -> "Tuple":
-        """Build a :class:`Tuple` of this schema from positional or named values."""
+        """The interned :class:`Tuple` of this schema with these values.
+
+        Positional or named values; the first call for a ``values`` builds
+        the tuple, later ones return that same instance.  Values that compare
+        equal (``1``, ``1.0``, ``True``) share the instance built first.
+        """
         if named:
             if values:
                 raise SchemaError("pass either positional or named values, not both")
@@ -82,11 +95,34 @@ class Schema:
                 values = tuple(named[attribute] for attribute in self.attributes)
             except KeyError as exc:
                 raise SchemaError(f"missing attribute {exc.args[0]!r}") from exc
-        if len(values) != len(self.attributes):
-            raise SchemaError(
-                f"{self.relation!r} expects {self.arity} values, got {len(values)}"
-            )
-        return Tuple(self, values)
+        table = self._tuples
+        interned = table.get(values)
+        if interned is None:
+            if len(values) != len(self.attributes):
+                raise SchemaError(
+                    f"{self.relation!r} expects {self.arity} values, got {len(values)}"
+                )
+            interned = table[values] = Tuple(self, values)
+        return interned
+
+
+#: The tuple intern table: one ``values -> Tuple`` dict per distinct schema.
+#: Keyed by schema *value*, so a schema unpickled in another process shares
+#: the dict of its original, and two schemas that differ in any field (a
+#: shared relation name included) never share one.  Each schema caches its
+#: dict at construction, which keeps :meth:`Schema.tuple` to one probe.
+_INTERNED: Dict[Schema, Dict[PyTuple[Any, ...], "Tuple"]] = {}
+
+
+def clear_interned_tuples() -> None:
+    """Empty the intern table; tuples already handed out stay valid."""
+    for table in _INTERNED.values():
+        table.clear()
+
+
+def _interned(schema: Schema, values: PyTuple[Any, ...]) -> "Tuple":
+    """Unpickling hook: the receiving process's instance for ``(schema, values)``."""
+    return schema.tuple(*values)
 
 
 def _value_size(value: Any) -> int:
@@ -111,11 +147,17 @@ class Tuple:
 
     Tuples are the engine's universal dictionary key (``P`` tables, join
     indexes, MinShip buffers), so their identity operations are hot paths: a
-    plain ``__slots__`` class (constructed once per derived delta), the hash
-    computed once in the constructor, attribute access through the schema's
-    precomputed position table, and the ``key``/wire-size values memoised on
-    first use (``None`` until then).  Values must be hashable; treat
-    instances as immutable.
+    plain ``__slots__`` class, the hash computed once in the constructor,
+    attribute access through the schema's precomputed position table, and
+    the ``key``/wire-size values memoised on first use (``None`` until then).
+
+    Build tuples with :meth:`Schema.tuple`, which interns them: one instance
+    per distinct ``(schema, values)``, so equality is mostly an ``is`` test
+    and the hash, key and size are computed once per distinct tuple.
+    Unpickling interns too, in the receiving process.  A ``Tuple(schema,
+    values)`` built directly is not interned but equal to, and hashed like,
+    the interned one: the hash is ``hash((relation, values))`` either way.
+    Values must be hashable; treat instances as immutable.
     """
 
     __slots__ = ("schema", "values", "_hash", "_key", "_size")
@@ -173,8 +215,7 @@ class Tuple:
 
     def project(self, schema: Schema, attributes: Sequence[str]) -> "Tuple":
         """Project this tuple onto ``attributes`` producing a tuple of ``schema``."""
-        values = tuple(self[attribute] for attribute in attributes)
-        return Tuple(schema, values)
+        return schema.tuple(*(self[attribute] for attribute in attributes))
 
     def as_dict(self) -> Dict[str, Any]:
         """Attribute-name -> value mapping."""
@@ -198,11 +239,8 @@ class Tuple:
             size = self._size = 4 + sum(map(_value_size, self.values))
         return size
 
-    def __getstate__(self):
-        return (self.schema, self.values)
-
-    def __setstate__(self, state):
-        self.__init__(*state)
+    def __reduce__(self):
+        return (_interned, (self.schema, self.values))
 
     def __iter__(self) -> Iterator[Any]:
         return iter(self.values)

@@ -17,7 +17,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple as PyTup
 import time
 
 from repro.data.batch import BatchPolicy, UpdateBatch
-from repro.data.tuples import Tuple
+from repro.data.tuples import Tuple, clear_interned_tuples
 from repro.data.update import Update, UpdateType
 from repro.engine.dred import DRedCoordinator
 from repro.engine.metrics import ExperimentMetrics, KernelPhaseStats, PhaseMetrics
@@ -27,6 +27,7 @@ from repro.engine.runtime import (
     PORT_BASE,
     PORT_SEED,
     ProcessorNode,
+    cyclic_gc_paused,
 )
 from repro.engine.strategy import ExecutionStrategy
 from repro.net.latency import LatencyModel
@@ -126,7 +127,20 @@ class DistributedViewExecutor:
         return nodes
 
     def close(self) -> None:
-        """Release backend resources (worker pools); no-op for the in-process backend."""
+        """Free the run's bulk memory: the annotation storage and interned tuples.
+
+        The executor's object graph holds reference cycles (registry probes
+        close over it, root sources lead back to its store), so without this
+        its memory would wait for CPython's cyclic collector.  A closed
+        executor still answers :attr:`metrics` and the view
+        (:meth:`view`, :meth:`view_values`, :meth:`view_size`,
+        :meth:`view_at`).  Nothing that reads an annotation does
+        (:meth:`state_bytes`, :meth:`view_annotations`, :meth:`explain`),
+        and it runs no further phase.  The process backend also stops its
+        worker pool.
+        """
+        self.store.release()
+        clear_interned_tuples()
 
     def _build_metrics_registry(self) -> MetricsRegistry:
         """Register every subsystem's stat object into one metrics registry.
@@ -265,9 +279,10 @@ class DistributedViewExecutor:
                 },
             )
         try:
-            return self._run_phase_body(
-                label, edge_inserts, edge_deletes, seed_inserts, seed_deletes
-            )
+            with cyclic_gc_paused():
+                return self._run_phase_body(
+                    label, edge_inserts, edge_deletes, seed_inserts, seed_deletes
+                )
         except Exception as exc:
             # Post-mortem hook: budget overruns, worker deaths and handler
             # crashes all surface here.  When the installed tracer has a dump

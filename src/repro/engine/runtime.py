@@ -34,7 +34,9 @@ zero-out-the-variable path) and peers then reseed the cold node through
 
 from __future__ import annotations
 
+import gc
 import weakref
+from contextlib import contextmanager
 from time import perf_counter
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence
 
@@ -63,6 +65,28 @@ from repro.provenance.tracker import ProvenanceStore
 
 #: Per-port batch memo sentinel ("annotation not restricted yet").
 _UNFILTERED = object()
+
+
+@contextmanager
+def cyclic_gc_paused():
+    """Run the block with CPython's cyclic garbage collector paused.
+
+    The data plane allocates an object per delta but builds no reference
+    cycles, so a collection pass inside a phase only costs time: reference
+    counting frees everything it could find.  Both backends wrap their unit
+    of data-plane work in this, the coordinator's phase and the worker's
+    command.  The state found is restored on exit, on an exception too: a
+    caller that had disabled the collector keeps it disabled, and nested
+    pauses compose.
+    """
+    if not gc.isenabled():
+        yield
+        return
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
 
 
 class ProcessorNode:
@@ -99,16 +123,6 @@ class ProcessorNode:
         )
         self._elastic = bool(getattr(partitioner, "elastic", False))
         self._coalesce_view = self.batch_policy.batches_port(PORT_VIEW)
-        #: Precomputed per-port dispatch table (replaces the historical
-        #: if-chain in ``_dispatch``); ``handle`` resolves the handler with
-        #: one dictionary probe per delivered batch.
-        self._port_handlers = {
-            PORT_BASE: self._handle_base_batch,
-            PORT_SEED: self._handle_seed_batch,
-            PORT_EDGE: self._handle_edge_batch,
-            PORT_VIEW: self._handle_view_batch,
-            PORT_PURGE: self._handle_purge_batch,
-        }
 
         self.join = PipelinedHashJoin(
             name=f"join@{node_id}",
@@ -144,6 +158,9 @@ class ProcessorNode:
         #: annotations are re-restricted on arrival so the purge is idempotent
         #: regardless of message interleaving.
         self._deleted_base_keys: set = set()
+        #: The prepared restrictor over ``_deleted_base_keys`` (``None`` until
+        #: needed, and again whenever the set changes).
+        self._tombstone_restrict = None
         #: Version counter per base tuple (owner side): a tuple re-inserted
         #: after a deletion gets a fresh provenance variable so that old
         #: tombstones cannot suppress the new incarnation.
@@ -201,7 +218,7 @@ class ProcessorNode:
         if tracer is not None:
             self._handle_traced(tracer, port, updates, now)
             return
-        handler = self._port_handlers.get(port)
+        handler = self._PORT_HANDLERS.get(port)
         if handler is None:
             raise ValueError(f"unknown port {port!r} on node {self.node_id}")
         if port != PORT_PURGE:
@@ -209,10 +226,10 @@ class ProcessorNode:
             if not updates:
                 return
         if self.batch_policy.batches_port(port):
-            handler(updates, now)
+            handler(self, updates, now)
         else:
             for update in updates:
-                handler((update,), now)
+                handler(self, (update,), now)
 
     def _handle_traced(
         self, tracer, port: str, updates: Sequence[Update], now: float
@@ -221,7 +238,7 @@ class ProcessorNode:
         ``admit`` span, an ``op:<port>`` operator span and one synthesised
         kernel-lane span covering the delivery's share of the annotation
         kernel's cumulative clock."""
-        handler = self._port_handlers.get(port)
+        handler = self._PORT_HANDLERS.get(port)
         if handler is None:
             raise ValueError(f"unknown port {port!r} on node {self.node_id}")
         kernel_clock = self.store.kernel_clock
@@ -243,10 +260,10 @@ class ProcessorNode:
         )
         try:
             if self.batch_policy.batches_port(port):
-                handler(updates, now)
+                handler(self, updates, now)
             else:
                 for update in updates:
-                    handler((update,), now)
+                    handler(self, (update,), now)
         finally:
             tracer.end(span)
             tracer.kernel_slice(node_id, kernel_clock() - kernel_start, sim_ts=now)
@@ -452,9 +469,15 @@ class ProcessorNode:
         unhashable annotation types, and — for BDD handles — identity is
         immune to a GC compaction renumbering the ids (and with them the
         value hash) mid-batch.  The delivered batch keeps every keyed
-        annotation alive for the closure's lifetime.
+        annotation alive for the closure's lifetime.  The prepared tombstone
+        restrictor under the memo is built once per tombstone set, not per
+        batch.
         """
-        restrict = self.store.base_restrictor(self._deleted_base_keys)
+        restrict = self._tombstone_restrict
+        if restrict is None:
+            restrict = self._tombstone_restrict = self.store.base_restrictor(
+                self._deleted_base_keys
+            )
         is_zero = self.store.is_zero
         equals = self.store.equals
         #: id(annotation) -> surviving annotation (None = dropped entirely).
@@ -546,6 +569,7 @@ class ProcessorNode:
                 variable_key = (update.tuple.key, 0)
             base_keys.append(variable_key)
         self._deleted_base_keys.update(base_keys)
+        self._tombstone_restrict = None
         self.join.purge_base(base_keys)
         self.fixpoint.purge_base(base_keys)
         released = self.ship.purge_base(base_keys)
@@ -628,6 +652,7 @@ class ProcessorNode:
             )
         decode = self.store.decode_annotation
         self._deleted_base_keys = set(state["deleted_base_keys"])
+        self._tombstone_restrict = None
         self._base_versions = dict(state["base_versions"])
         self.join.import_state(state["join"], decode)
         self.fixpoint.import_state(state["fixpoint"], decode)
@@ -646,6 +671,7 @@ class ProcessorNode:
     def add_deletion_tombstones(self, variable_keys: Iterable[object]) -> None:
         """Merge known-deleted base variables (recovery: tombstone resync)."""
         self._deleted_base_keys.update(variable_keys)
+        self._tombstone_restrict = None
 
     def deletion_tombstones(self) -> frozenset:
         """The base variables this node knows to be deleted (recovery: resync source)."""
@@ -837,3 +863,16 @@ class ProcessorNode:
             "fixpoint": self.fixpoint.stats,
             "ship": self.ship.stats,
         }
+
+    #: Per-port dispatch table; ``handle`` resolves the handler with one
+    #: dictionary probe per delivered batch.  Plain functions, called with the
+    #: node: bound methods stored on the instance would make every node a
+    #: reference cycle, which a node discarded by a crash leaves to CPython's
+    #: cyclic collector.
+    _PORT_HANDLERS = {
+        PORT_BASE: _handle_base_batch,
+        PORT_SEED: _handle_seed_batch,
+        PORT_EDGE: _handle_edge_batch,
+        PORT_VIEW: _handle_view_batch,
+        PORT_PURGE: _handle_purge_batch,
+    }

@@ -28,7 +28,7 @@ import pickle
 from typing import Dict, Optional, Set
 
 from repro.data.batch import BatchPolicy
-from repro.data.tuples import Tuple
+from repro.data.tuples import Tuple, clear_interned_tuples
 from repro.engine.executor import DistributedViewExecutor
 from repro.engine.plan import RecursiveViewPlan
 from repro.engine.strategy import ExecutionStrategy
@@ -317,8 +317,14 @@ class ProcessExecutor(DistributedViewExecutor):
 
     # -- lifecycle ----------------------------------------------------------------------
     def close(self) -> None:
+        """Stop the worker pool and empty the coordinator's tuple intern table.
+
+        The workers' annotation storage dies with them; the coordinator holds
+        none.  A closed process executor answers only :attr:`metrics`.
+        """
         if self._coordinator is not None:
             self._coordinator.close()
+        clear_interned_tuples()
 
     def __enter__(self) -> "ProcessExecutor":
         return self

@@ -30,7 +30,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.data.update import Update
 from repro.engine.routing import RoutingStats
-from repro.engine.runtime import ProcessorNode
+from repro.engine.runtime import ProcessorNode, cyclic_gc_paused
 from repro.net.simulator import pack_rank
 from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.obs.trace import Tracer, install_tracer
@@ -510,7 +510,9 @@ def worker_main(init: WorkerInit, command_queue, result_conn) -> None:
     while True:
         command = command_queue.get()
         try:
-            if not worker.dispatch(command):
+            with cyclic_gc_paused():
+                running = worker.dispatch(command)
+            if not running:
                 break
         except BaseException:
             ref_id = command[1] if len(command) > 1 else None

@@ -15,7 +15,7 @@ rules of Figure 6.  Storing annotations as reduced ordered BDDs means:
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable, Optional, Sequence
+from typing import Dict, Hashable, Iterable, Optional, Sequence
 
 from repro.bdd.manager import (
     BDD,
@@ -98,20 +98,40 @@ class AbsorptionProvenanceStore(ProvenanceStore):
         annotations drive the kernel's ``_restrict`` directly with the
         precompiled index mapping and memo-key suffix; the *same handle* is
         returned when nothing changed.
+
+        A key with no variable yet is resolved again once the manager has
+        declared more variables, so the callable stays exact for as long as
+        it is held: a node keeps one per tombstone set, across deliveries
+        that decode annotations naming variables new to this manager.
         """
         manager = self.manager
-        index_of = manager._index_by_name.get
-        indexed = []
-        for key in base_keys:
-            index = index_of(key)
-            if index is not None:
-                indexed.append((index, False))
-        if not indexed:
-            return lambda annotation: annotation
-        indexed.sort()
-        key_suffix = tuple(indexed)
-        mapping = dict(indexed)
-        deleted = frozenset(mapping)
+        names = manager._index_by_name
+        pending = list(base_keys)
+        indexed: list = []
+        mapping: Dict[int, bool] = {}
+        key_suffix: tuple = ()
+        deleted: frozenset = frozenset()
+        declared = -1
+
+        def resolve() -> None:
+            nonlocal key_suffix, deleted, declared
+            declared = len(names)
+            unresolved = []
+            for key in pending:
+                index = names.get(key)
+                if index is None:
+                    unresolved.append(key)
+                else:
+                    indexed.append((index, False))
+            if len(unresolved) == len(pending):
+                return
+            pending[:] = unresolved
+            indexed.sort()
+            key_suffix = tuple(indexed)
+            mapping.update(indexed)
+            deleted = frozenset(mapping)
+
+        resolve()
         support_of = manager._support
         kernel_restrict = manager._restrict
         maybe_collect = manager._maybe_collect
@@ -119,6 +139,10 @@ class AbsorptionProvenanceStore(ProvenanceStore):
         def restrict_one(annotation: BDD) -> BDD:
             node = annotation.node
             if node <= 1:
+                return annotation
+            if pending and len(names) != declared:
+                resolve()
+            if not mapping:
                 return annotation
             # Memo-first: a purge scan re-visits mostly cached supports, so
             # skip the kernel call (and its counter churn) on the hit path.
@@ -223,6 +247,10 @@ class AbsorptionProvenanceStore(ProvenanceStore):
     def census(self):
         """The BDD manager's live/dead node count (see ``BDDManager.census``)."""
         return self.manager.census()
+
+    def release(self) -> None:
+        """Drop the BDD manager's node table and caches (``BDDManager.release``)."""
+        self.manager.release()
 
     # -- diagnostics ----------------------------------------------------------
     def cache_stats(self):

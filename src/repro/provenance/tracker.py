@@ -188,6 +188,13 @@ class ProvenanceStore(abc.ABC):
         """
         return None
 
+    def release(self) -> None:
+        """Free the annotation storage once its executor is closed.
+
+        A no-op for value-typed stores; the absorption store releases its
+        BDD manager, after which no annotation of this store can be read.
+        """
+
 
 class NullProvenanceStore(ProvenanceStore):
     """Set-semantics execution: no annotations at all (DRed's data model).

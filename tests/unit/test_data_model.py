@@ -12,7 +12,7 @@ from repro.data import (
     UpdateType,
 )
 from repro.data.relation import stable_hash
-from repro.data.tuples import SchemaError, _value_size, make_schema
+from repro.data.tuples import _INTERNED, SchemaError, Tuple, _value_size, make_schema
 from repro.data.update import delete, insert
 from repro.engine.strategy import ExecutionStrategy
 from repro.queries import build_executor, reachability_plan
@@ -145,6 +145,60 @@ class TestTuple:
     def test_value_size(self, value, size):
         # Strings cost their UTF-8 length, whether or not they are ASCII.
         assert _value_size(value) == size
+
+
+class TestInterning:
+    """``Schema.tuple`` hands out one instance per distinct tuple, invisibly."""
+
+    def test_same_values_same_instance(self, link_schema):
+        values = ("A", "B", 1.0)
+        assert link_schema.tuple(*values) is link_schema.tuple(*values)
+        assert link_schema.tuple(src="A", dst="B", cost=1.0) is link_schema.tuple(*values)
+
+    def test_hash_is_relation_and_values(self, link_schema):
+        values = ("A", "B", 1.0)
+        expected = hash(("link", values))
+        assert hash(link_schema.tuple(*values)) == expected
+        assert hash(Tuple(link_schema, values)) == expected
+
+    def test_same_named_schemas_do_not_alias(self, link_schema):
+        renamed = make_schema("link", ["from", "to", "weight"])
+        repartitioned = make_schema("link", ["src", "dst", "cost"], partition_attribute="dst")
+        original = link_schema.tuple("A", "B", 1.0)
+        for other in (renamed, repartitioned):
+            twin = other.tuple("A", "B", 1.0)
+            assert twin is not original
+            assert twin.schema == other
+            assert twin != original
+        # An equal schema is the same schema: it shares the instances.
+        assert make_schema("link", ["src", "dst", "cost"]).tuple("A", "B", 1.0) is original
+
+    def test_pickle_round_trip_returns_the_interned_instance(self, link_schema):
+        original = link_schema.tuple("A", "B", 1.0)
+        assert pickle.loads(pickle.dumps(original)) is original
+        unpickled_schema = pickle.loads(pickle.dumps(link_schema))
+        assert unpickled_schema.tuple("A", "B", 1.0) is original
+
+    def test_direct_construction_equals_the_interned_tuple(self, link_schema):
+        interned = link_schema.tuple("A", "B", 1.0)
+        direct = Tuple(link_schema, ("A", "B", 1.0))
+        assert direct is not interned
+        assert direct == interned and interned == direct
+        assert {direct, interned} == {interned}
+        assert direct.key == interned.key
+        assert direct.size_bytes() == interned.size_bytes()
+
+    def test_table_is_empty_after_close(self):
+        topology = generate_topology(TransitStubConfig(nodes_per_stub=2, stubs_per_transit=2, seed=5))
+        links = topology.link_tuples()
+        executor = build_executor(reachability_plan(), ExecutionStrategy.dred(), node_count=4)
+        executor.insert_edges(links)
+        assert any(_INTERNED.values())
+        executor.close()
+        assert not any(_INTERNED.values())
+        # Tuples handed out before the clear stay valid and equal to new ones.
+        rebuilt = links[0].schema.tuple(*links[0].values)
+        assert rebuilt == links[0] and hash(rebuilt) == hash(links[0])
 
 
 class TestUpdate:

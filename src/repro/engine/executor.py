@@ -129,15 +129,13 @@ class DistributedViewExecutor:
     def close(self) -> None:
         """Free the run's bulk memory: the annotation storage and interned tuples.
 
-        The executor's object graph holds reference cycles (registry probes
-        close over it, root sources lead back to its store), so without this
-        its memory would wait for CPython's cyclic collector.  A closed
-        executor still answers :attr:`metrics` and the view
-        (:meth:`view`, :meth:`view_values`, :meth:`view_size`,
-        :meth:`view_at`).  Nothing that reads an annotation does
-        (:meth:`state_bytes`, :meth:`view_annotations`, :meth:`explain`),
-        and it runs no further phase.  The process backend also stops its
-        worker pool.
+        The executor's object graph holds reference cycles (its registry
+        probes close over it), so without this its memory would wait for
+        CPython's cyclic collector.  A closed executor still answers
+        :attr:`metrics` and the view (:meth:`view`, :meth:`view_values`,
+        :meth:`view_size`, :meth:`view_at`).  Reading an annotation
+        (:meth:`state_bytes`, :meth:`view_annotations`, :meth:`explain`) or
+        running another phase is unsupported after it.
         """
         self.store.release()
         clear_interned_tuples()

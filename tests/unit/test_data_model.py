@@ -189,7 +189,9 @@ class TestInterning:
         assert direct.size_bytes() == interned.size_bytes()
 
     def test_table_is_empty_after_close(self):
-        topology = generate_topology(TransitStubConfig(nodes_per_stub=2, stubs_per_transit=2, seed=5))
+        topology = generate_topology(
+            TransitStubConfig(nodes_per_stub=2, stubs_per_transit=2, seed=5)
+        )
         links = topology.link_tuples()
         executor = build_executor(reachability_plan(), ExecutionStrategy.dred(), node_count=4)
         executor.insert_edges(links)

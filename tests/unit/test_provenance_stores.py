@@ -93,6 +93,28 @@ class TestAbsorptionStore:
         assert store.supports_deletion
         assert store.name == "absorption"
 
+    def test_prepared_restrictor_sees_variables_declared_later(self, store):
+        """A held restrictor deletes a key whose variable did not exist yet.
+
+        The runtime keeps one per tombstone set, and a process-backend worker
+        can learn a tombstoned variable from a later delivery's annotation.
+        """
+        restrict = store.base_restrictor(["p1", "p9"])
+        late = store.annotation_from_products([["p9", "p2"], ["p3"]])
+        assert store.equals(restrict(late), store.annotation_from_products([["p3"]]))
+        assert store.is_zero(restrict(store.conjoin(late, store.base_annotation("p1"))))
+        untouched = store.base_annotation("p4")
+        assert restrict(untouched) is untouched
+
+    def test_release_drops_the_node_table_and_caches(self, store):
+        pv = store.annotation_from_products([["p1", "p2"], ["p3"]])
+        store.size_bytes(pv)
+        store.release()
+        manager = store.manager
+        assert manager._table is None
+        assert not manager._size_cache and not manager._apply_cache
+        assert not manager.has_variable("p1")
+
 
 class TestRelativeStore:
     @pytest.fixture()

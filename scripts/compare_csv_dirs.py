@@ -1,11 +1,12 @@
 #!/usr/bin/env python
 """Compare two directories of harness CSVs, ignoring wall-clock cells.
 
-The harness is deterministic except for wall-clock readings: the
-``wall_seconds`` column, and the paper-metric cells of rows a run's
-wall-clock budget cut off (``converged`` is ``False``; where the budget
-stops the run depends on host speed).  Those are masked; every other cell
-must match.  Prints each differing cell and exits 1 on any difference::
+The harness is deterministic except for the ``wall_seconds`` column, which
+is masked; every other cell must match, those of censored rows
+(``converged`` is ``False``) included: the quick and default configurations
+cut a simulated run by the bytes a phase ships, at the same event on every
+host.
+Prints each differing cell and exits 1 on any difference::
 
     PYTHONHASHSEED=1 PYTHONPATH=src python -m repro.harness --quick all --csv-dir a
     PYTHONHASHSEED=2 PYTHONPATH=src python -m repro.harness --quick all --csv-dir b
@@ -20,12 +21,6 @@ from pathlib import Path
 from typing import List
 
 WALL_CLOCK_COLUMNS = {"wall_seconds"}
-CENSORED_COLUMNS = {
-    "per_tuple_provenance_B",
-    "communication_MB",
-    "state_MB",
-    "convergence_time_s",
-}
 
 
 def load(path: Path) -> List[List[str]]:
@@ -34,18 +29,10 @@ def load(path: Path) -> List[List[str]]:
     if not rows:
         return rows
     header = rows[0]
-    converged = header.index("converged") if "converged" in header else None
-    masked = [header]
-    for row in rows[1:]:
-        censored = converged is not None and row[converged] == "False"
-        masked.append(
-            [
-                "" if column in WALL_CLOCK_COLUMNS
-                or (censored and column in CENSORED_COLUMNS) else cell
-                for column, cell in zip(header, row)
-            ]
-        )
-    return masked
+    return [header] + [
+        ["" if column in WALL_CLOCK_COLUMNS else cell for column, cell in zip(header, row)]
+        for row in rows[1:]
+    ]
 
 
 def main(argv=None) -> int:

@@ -1558,17 +1558,19 @@ class BDDManager:
         return self.disjoin_many(terms)
 
     def release(self) -> None:
-        """Drop the node table, the memo caches and the variable maps.
+        """Drop the node table, the memo caches and every handle it keeps.
 
         For an owner that is done with the manager: reference counting frees
-        them at once, whatever reference cycles still reach the manager or its
-        handles.  The work counters survive; any operation on the manager or
-        on one of its handles fails afterwards.
+        the table and caches at once, and the manager itself as soon as its
+        owner lets go (the constant and variable handles it keeps are its
+        only reference cycle).  The work counters survive; any operation on
+        the manager or on one of its handles fails afterwards.
         """
         self._table = None
         self.clear_caches()
         self._handles = []
         self._root_sources = []
+        self._true_handle = self._false_handle = None
         self._variable_handles = {}
         self._index_by_name = {}
         self._name_by_index = {}

@@ -85,8 +85,14 @@ class Schema:
         """The interned :class:`Tuple` of this schema with these values.
 
         Positional or named values; the first call for a ``values`` builds
-        the tuple, later ones return that same instance.  Values that compare
-        equal (``1``, ``1.0``, ``True``) share the instance built first.
+        the tuple, later ones return that same instance.  The table is one
+        per process, shared by every executor in it, and closing any executor
+        empties it (:func:`clear_interned_tuples`): tuples already handed out
+        stay valid and equal to the ones built later, they are just no longer
+        shared.  Values that compare equal (``1``, ``1.0``, ``True``) share
+        the instance built first in the process, so a tuple's value types,
+        and with them its wire size and ``repr``, are those of that first
+        build: keep an attribute's type consistent within a process.
         """
         if named:
             if values:
@@ -115,7 +121,7 @@ _INTERNED: Dict[Schema, Dict[PyTuple[Any, ...], "Tuple"]] = {}
 
 
 def clear_interned_tuples() -> None:
-    """Empty the intern table; tuples already handed out stay valid."""
+    """Empty the process's intern table; tuples already handed out stay valid."""
     for table in _INTERNED.values():
         table.clear()
 

@@ -127,16 +127,26 @@ class DistributedViewExecutor:
         return nodes
 
     def close(self) -> None:
-        """Free the run's bulk memory: the annotation storage and interned tuples.
+        """End the run so that reference counting alone frees its memory.
 
-        The executor's object graph holds reference cycles (its registry
-        probes close over it), so without this its memory would wait for
-        CPython's cyclic collector.  A closed executor still answers
-        :attr:`metrics` and the view (:meth:`view`, :meth:`view_values`,
+        A running executor's object graph is cyclic: the network's handlers
+        and hooks are bound to nodes and executor, which hold the network,
+        and the registry's probes close over the executor.  Closing drops
+        those edges (``network.close()``, a fresh :attr:`metrics_registry`),
+        frees the annotation storage at once (``store.release()``: the BDD
+        node table and memo caches) and empties the process's tuple intern
+        table, so nothing the run built waits for CPython's cyclic collector.
+        On the process backend ``network.close()`` also stops the workers.
+
+        A closed executor still answers :attr:`metrics` and, on the
+        in-process backend, the view (:meth:`view`, :meth:`view_values`,
         :meth:`view_size`, :meth:`view_at`).  Reading an annotation
         (:meth:`state_bytes`, :meth:`view_annotations`, :meth:`explain`) or
-        running another phase is unsupported after it.
+        running another phase is unsupported after it.  Closing twice is
+        harmless.
         """
+        self.network.close()
+        self.metrics_registry = MetricsRegistry()
         self.store.release()
         clear_interned_tuples()
 

@@ -34,6 +34,7 @@ the churn benchmark compares across policies.
 from __future__ import annotations
 
 import enum
+import weakref
 from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.data.batch import UpdateBatch
@@ -66,7 +67,9 @@ class RecoveryManager(FaultListener):
     """The failure detector + recovery coordinator for one executor run."""
 
     def __init__(self, executor: "FaultTolerantExecutor", policy: RecoveryPolicy) -> None:
-        self.executor = executor
+        #: Weak: the executor owns this manager, and a strong back-reference
+        #: would leave a closed run to CPython's cyclic collector.
+        self.executor = weakref.proxy(executor)
         self.policy = policy
         self.crash_count = 0
         self.recovery_count = 0

@@ -53,9 +53,18 @@ class ExperimentConfig:
     seed: int = 7
     #: Hard cap on simulated events per run (guards non-terminating schemes).
     max_events: int = 3_000_000
-    #: Wall-clock budget per run in seconds; runs that exceed it are reported
-    #: as "did not converge", mirroring the paper's ">5 minutes" data points.
-    max_wall_seconds: float = 60.0
+    #: Work budget per phase in MB shipped: a phase that ships more is cut off
+    #: and reported as "did not converge", mirroring the paper's ">5 minutes"
+    #: data points (figure 7's Relative Eager, whose provenance blows up).
+    #: Counted in bytes, not seconds, so on the in-process backend a censored
+    #: row reads the same on every host and run.  Converged phases ship under
+    #: 7 MB at this scale.
+    #: ``None`` leaves censoring to the wall-clock budget.
+    max_phase_mb: Optional[float] = 50.0
+    #: Wall-clock budget per phase in seconds; a phase that exceeds it is
+    #: reported as "did not converge" too.  With a work budget it is only a
+    #: guard against a hang, far above any honest phase.
+    max_wall_seconds: float = 300.0
     #: Crash/recover cycles injected by the churn experiment.
     churn_cycles: int = 1
     #: Fraction of each churn cycle's slot a crashed node stays down.
@@ -132,7 +141,6 @@ QUICK_CONFIG = ExperimentConfig(
     processor_counts=(4, 8),
     sensor_field_side=30.0,
     max_events=1_000_000,
-    max_wall_seconds=30.0,
     hotspot_spokes=8,
     hotspot_extra_links=12,
     chaos_links=48,
@@ -143,6 +151,9 @@ PAPER_SCALE_CONFIG = ExperimentConfig(
     nodes_per_stub=8,
     link_budgets=(100, 200, 400, 800),
     sensor_field_side=100.0,
+    # No work budget measured at this scale: censor on wall time, as the paper
+    # did (its five minutes), leaving host-dependent censored rows.
+    max_phase_mb=None,
     max_wall_seconds=600.0,
     chaos_links=400,
 )

@@ -13,9 +13,9 @@ four metrics:
 * ``state_MB`` — state within operators (MB),
 * ``convergence_time_s`` — convergence time (simulated seconds).
 
-Runs that exceed the configured wall-clock or event budget are reported with
-``converged = False`` — the analogue of the paper's "did not complete within 5
-minutes" data points.
+Runs that exceed the configured per-phase byte, event or wall-clock budget
+are reported with ``converged = False`` — the analogue of the paper's "did
+not complete within 5 minutes" data points.
 """
 
 from __future__ import annotations

@@ -228,22 +228,30 @@ def build_executor_for(
         "max_wall_seconds": config.max_wall_seconds, "experiment": experiment,
         "batch_policy": batch_policy_for(config), **options,
     }
+    executor = None
     if config.backend == "process":
         if kind is None:
             try:
-                return build_executor(
+                executor = build_executor(
                     plan, strategy, backend="process", workers=config.workers or None, **options
                 )
             except SimulationError as exc:
                 reason = str(exc)
         else:
             reason = f"the process backend hosts no {kind.__name__}"
-        print(
-            f"# note: {plan.name}/{strategy.label} falls back to the in-process backend "
-            f"({reason})",
-            file=sys.stderr,
-        )
-    return (kind or build_executor)(plan, strategy, **options)
+        if executor is None:
+            print(
+                f"# note: {plan.name}/{strategy.label} falls back to the in-process backend "
+                f"({reason})",
+                file=sys.stderr,
+            )
+    if executor is None:
+        executor = (kind or build_executor)(plan, strategy, **options)
+    if config.max_phase_mb is not None:
+        # A network setting no executor constructor forwards; every kind's
+        # network (the process coordinator too) checks it.
+        executor.network.max_phase_bytes = int(config.max_phase_mb * 1_000_000)
+    return executor
 
 
 def _base_row(figure: str, scheme: str, parameters: Row) -> Row:

@@ -112,7 +112,7 @@ class SimulationError(Exception):
 
 
 class SimulationBudgetExceeded(SimulationError):
-    """Raised when a run exceeds its event or wall-clock budget.
+    """Raised when a run exceeds its event, per-phase byte or wall-clock budget.
 
     This is how the harness reproduces the paper's "did not complete within 5
     minutes" data points (e.g. Relative Eager at high insertion ratios, Eager
@@ -153,6 +153,13 @@ class SimulatedNetwork:
         self.processing_cost = processing_cost
         self.max_events = max_events
         self.max_wall_seconds = max_wall_seconds
+        #: Work budget: the bytes one phase (one :meth:`reset_stats` span)
+        #: may ship before the run is cut off.  Unlike the wall-clock budget
+        #: it cuts a simulated run at the same event on every host (the
+        #: process coordinator checks the sends applied so far, which can
+        #: trail its dispatches); ``None`` = off.  The harness sets it from
+        #: ``ExperimentConfig.max_phase_mb``.
+        self.max_phase_bytes: Optional[int] = None
         self.batch_policy = batch_policy or BatchPolicy()
         #: Messages whose delivery was merged into an earlier same-channel
         #: delivery (diagnostics for the batching benchmark).
@@ -207,6 +214,21 @@ class SimulatedNetwork:
         """Install the update handler for ``node``."""
         self._validate_node(node)
         self._handlers[node] = handler
+
+    def close(self) -> None:
+        """Drop every handler, hook and undelivered event; the run is over.
+
+        Handlers and hooks are bound to the nodes and the executor, which
+        hold this network, so dropping them leaves the run's object graph
+        without reference cycles: reference counting frees it once its
+        executor goes.  :attr:`stats` stays readable.
+        """
+        self._handlers.clear()
+        self._queue.clear()
+        self._held.clear()
+        self._fault_listener = None
+        self._epoch_provider = None
+        self._chaos = None
 
     def _validate_node(self, node: int) -> None:
         if not 0 <= node < self.node_count:
@@ -502,7 +524,6 @@ class SimulatedNetwork:
         busy_until = self._node_busy_until
         processing_cost = self.processing_cost
         max_events = self.max_events
-        monotonic = time.monotonic
         perf_counter = time.perf_counter
         while queue:
             # Peek before popping: a too-late event must keep its original
@@ -544,14 +565,8 @@ class SimulatedNetwork:
                 raise SimulationBudgetExceeded(
                     f"exceeded {max_events} events; the computation is not converging"
                 )
-            if (
-                self._wall_deadline is not None
-                and self._events_processed % 32 == 0
-                and monotonic() > self._wall_deadline
-            ):
-                raise SimulationBudgetExceeded(
-                    f"exceeded the wall-clock budget of {self.max_wall_seconds} seconds"
-                )
+            if self._events_processed % 32 == 0:
+                self._check_budgets()
             handler = handlers_get(dst)
             if handler is None:
                 raise SimulationError(f"no handler registered for node {dst}")
@@ -646,8 +661,6 @@ class SimulatedNetwork:
         pop = heapq.heappop
         max_batch = policy.max_batch
         max_events = self.max_events
-        wall_deadline = self._wall_deadline
-        monotonic = time.monotonic
         current_epoch = self.current_epoch
         tracer = self._tracer
         updates: List[Update] = list(message.updates)
@@ -668,17 +681,11 @@ class SimulatedNetwork:
                     f"exceeded {max_events} events; the computation is not converging"
                 )
             # The drain loop consumes events just like the outer run loop, so
-            # it must honour the same wall-clock budget: a huge coalescible
-            # queue would otherwise be drained (and its updates handed to one
-            # arbitrarily long handler call) with the deadline never checked.
-            if (
-                wall_deadline is not None
-                and self._events_processed % 32 == 0
-                and monotonic() > wall_deadline
-            ):
-                raise SimulationBudgetExceeded(
-                    f"exceeded the wall-clock budget of {self.max_wall_seconds} seconds"
-                )
+            # it must honour the same budgets: a huge coalescible queue would
+            # otherwise be drained (and its updates handed to one arbitrarily
+            # long handler call) with the budgets never checked.
+            if self._events_processed % 32 == 0:
+                self._check_budgets()
             pop(queue)
             if head.epoch < current_epoch:
                 self.stats.stale_epoch_messages += 1
@@ -699,6 +706,22 @@ class SimulatedNetwork:
         """
         if self.max_wall_seconds is not None:
             self._wall_deadline = time.monotonic() + self.max_wall_seconds
+
+    def _check_budgets(self) -> None:
+        """Cut the run off once the phase is over its byte or wall-clock budget.
+
+        Called every 32 events, so a byte budget cuts a simulated run at the
+        same event on every host and run.
+        """
+        if self.max_phase_bytes is not None and self.stats.total_bytes > self.max_phase_bytes:
+            raise SimulationBudgetExceeded(
+                f"shipped more than {self.max_phase_bytes} bytes in one phase; "
+                "the computation is not converging"
+            )
+        if self._wall_deadline is not None and time.monotonic() > self._wall_deadline:
+            raise SimulationBudgetExceeded(
+                f"exceeded the wall-clock budget of {self.max_wall_seconds} seconds"
+            )
 
     def pending_events(self) -> int:
         """Number of undelivered messages (useful in tests)."""

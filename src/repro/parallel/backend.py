@@ -28,7 +28,7 @@ import pickle
 from typing import Dict, Optional, Set
 
 from repro.data.batch import BatchPolicy
-from repro.data.tuples import Tuple, clear_interned_tuples
+from repro.data.tuples import Tuple
 from repro.engine.executor import DistributedViewExecutor
 from repro.engine.plan import RecursiveViewPlan
 from repro.engine.strategy import ExecutionStrategy
@@ -58,6 +58,9 @@ class _ClusterStore:
 
     def __init__(self, executor: "ProcessExecutor") -> None:
         self._executor = executor
+
+    def release(self) -> None:
+        """Nothing to free: the annotation storage lives, and dies, in the workers."""
 
     #: The executor's phase machinery treats a ``None`` kernel_stats() as
     #: "kernel-less strategy"; workers answer authoritatively.
@@ -316,16 +319,6 @@ class ProcessExecutor(DistributedViewExecutor):
         return phase
 
     # -- lifecycle ----------------------------------------------------------------------
-    def close(self) -> None:
-        """Stop the worker pool and empty the coordinator's tuple intern table.
-
-        The workers' annotation storage dies with them; the coordinator holds
-        none.  A closed process executor answers only :attr:`metrics`.
-        """
-        if self._coordinator is not None:
-            self._coordinator.close()
-        clear_interned_tuples()
-
     def __enter__(self) -> "ProcessExecutor":
         return self
 

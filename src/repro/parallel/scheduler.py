@@ -459,14 +459,8 @@ class ProcessCoordinator(SimulatedNetwork):
             raise SimulationBudgetExceeded(
                 f"exceeded {self.max_events} events; the computation is not converging"
             )
-        if (
-            self._wall_deadline is not None
-            and self._events_processed % 32 == 0
-            and time.monotonic() > self._wall_deadline
-        ):
-            raise SimulationBudgetExceeded(
-                f"exceeded the wall-clock budget of {self.max_wall_seconds} seconds"
-            )
+        if self._events_processed % 32 == 0:
+            self._check_budgets()
         if message.epoch < self.current_epoch:
             self.stats.stale_epoch_messages += 1
 
@@ -875,7 +869,7 @@ class ProcessCoordinator(SimulatedNetwork):
 
     # -- shutdown -----------------------------------------------------------------------
     def close(self) -> None:
-        """Stop the worker pool (idempotent; also wired to executor close)."""
+        """Stop the worker pool, then drop what the network holds (idempotent)."""
         if self._closed:
             return
         self._closed = True
@@ -898,6 +892,7 @@ class ProcessCoordinator(SimulatedNetwork):
                 reader.close()
             except OSError:
                 pass
+        super().close()
 
     def __del__(self):  # pragma: no cover - best-effort cleanup
         try:

@@ -13,11 +13,14 @@ the collector off.
 
 import gc
 import sys
+import weakref
 from collections import Counter
 
 import pytest
 
 from repro.baselines.networkx_ref import reachable_pairs
+from repro.chaos import ChaosPlan
+from repro.chaos.executor import chaos_executor
 from repro.data.batch import BatchPolicy
 from repro.data.tuples import _INTERNED
 from repro.engine.runtime import cyclic_gc_paused
@@ -324,6 +327,78 @@ def test_close_frees_annotation_storage_without_the_collector(no_cycles, links):
     assert len(executor.metrics.phases) == 1
     assert executor.view_values() == expected
     assert executor.view_size() == len(expected)
+
+
+@pytest.mark.parametrize(
+    "scheme",
+    ["DRed", "Absorption Lazy", "Absorption Eager", "Relative Lazy", "Relative Eager"],
+)
+def test_a_closed_executor_is_freed_by_reference_counting(no_cycles, links, scheme):
+    # The list holds the only reference, so popping it drops the executor.
+    # Relative Eager's annotations blow up on the whole topology; a third of
+    # it converges quickly and still crosses every node.
+    run = [build_executor(reachability_plan(), scheme, node_count=NODE_COUNT)]
+    no_cycles(f"{scheme} insert", lambda: run[0].insert_edges(links[:10]))
+    no_cycles(f"{scheme} delete", lambda: run[0].delete_edges(links[:3]))
+    executor, store = weakref.ref(run[0]), weakref.ref(run[0].store)
+    no_cycles(f"{scheme} close and drop", lambda: run.pop().close())
+    # With the collector off, only reference counting can have freed them.
+    assert executor() is None and store() is None
+
+
+def _crashed(policy):
+    def build(links):
+        executor = fault_tolerant_executor(
+            reachability_plan(), "Absorption Lazy", recovery_policy=policy,
+            checkpoint_interval=10, node_count=NODE_COUNT,
+        )
+        executor.schedule_crash(2, at_time=0.002)
+        executor.schedule_recovery(2, at_time=0.004)
+        executor.insert_edges(links)
+        assert executor.recovery.recovery_count == 1
+        return executor
+
+    return build
+
+
+def _migrated(links):
+    executor = elastic_executor(reachability_plan(), "Absorption Eager", node_count=NODE_COUNT)
+    executor.insert_edges(links[:10])
+    executor.add_node()
+    executor.insert_edges(links[10:])
+    executor.remove_node(1)
+    return executor
+
+
+def _chaotic(links):
+    executor = chaos_executor(
+        reachability_plan(), "Absorption Lazy", node_count=NODE_COUNT,
+        chaos_plan=ChaosPlan.profile("full", seed=11),
+    )
+    executor.insert_edges(links)
+    return executor
+
+
+@pytest.mark.parametrize(
+    "build",
+    [_crashed("checkpoint-replay"), _crashed("provenance-purge"), _migrated, _chaotic],
+    ids=["checkpoint-replay", "provenance-purge", "elastic", "chaos"],
+)
+def test_a_closed_executor_of_every_kind_is_freed_by_reference_counting(no_cycles, links, build):
+    # Each kind adds hooks of its own: recovery manager, epoch provider, chaos
+    # interposer, durability shims in place of the node handlers.
+    run = [build(links)]
+    executor = weakref.ref(run[0])
+    no_cycles("close and drop", lambda: run.pop().close())
+    assert executor() is None
+
+
+def test_closing_twice_is_harmless(links):
+    executor = build_executor(reachability_plan(), "Absorption Lazy", node_count=NODE_COUNT)
+    executor.insert_edges(links)
+    executor.close()
+    executor.close()
+    assert executor.view_values() == reachable_pairs((l["src"], l["dst"]) for l in links)
 
 
 def test_process_close_empties_the_coordinators_intern_table(links):

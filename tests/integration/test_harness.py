@@ -17,6 +17,7 @@ import pytest
 from repro.data.batch import BatchPolicy
 from repro.engine.executor import DistributedViewExecutor
 from repro.harness import EXPERIMENTS, format_rows, rows_to_csv, run
+from repro.harness import experiments, runner
 from repro.harness.config import QUICK_CONFIG, ExperimentConfig
 
 METRIC_COLUMNS = {"per_tuple_provenance_B", "communication_MB", "state_MB", "convergence_time_s"}
@@ -35,8 +36,10 @@ TINY_KNOBS = ExperimentConfig(
     hotspot_spokes=4,
     hotspot_extra_links=4,
     chaos_links=12,
-    # Relative Eager on figure 7 blows up even here: cut it off early.
+    # Relative Eager on figure 7 blows up even here: cut it off early (the
+    # wall budget only bounds the test should the byte budget not reach it).
     max_events=100_000,
+    max_phase_mb=5.0,
     max_wall_seconds=3.0,
     batch_size=1,
     bdd_gc_threshold=0.5,
@@ -68,11 +71,24 @@ def test_every_built_executor_takes_the_config_knobs(name, monkeypatch):
         construct(self, *args, **kwargs)
         built.append(self)
 
+    # The chaos parity checks build their own runs, which must converge and
+    # keep only a wall-clock guard; every other executor comes from here.
+    by_runner = []
+    build = runner.build_executor_for
+
+    def recording_build(*args, **kwargs):
+        by_runner.append(build(*args, **kwargs))
+        return by_runner[-1]
+
     monkeypatch.setattr(DistributedViewExecutor, "__init__", recording)
+    monkeypatch.setattr(runner, "build_executor_for", recording_build)
+    monkeypatch.setattr(experiments, "build_executor_for", recording_build)
     assert run(name, TINY_KNOBS)
-    assert built
+    assert built and by_runner
     for executor in built:
         assert executor.batch_policy == BatchPolicy.tuple_at_a_time(), executor
+        if executor in by_runner:
+            assert executor.network.max_phase_bytes == 5_000_000, executor
         if executor.strategy.provenance_kind == "absorption":
             assert executor.strategy.store_options["gc_threshold"] == 0.5, executor
 

@@ -16,6 +16,7 @@ import time
 
 import pytest
 
+from repro.net.simulator import SimulationBudgetExceeded
 from repro.obs.trace import Tracer, install_tracer
 from repro.queries import build_executor, reachability_plan
 from repro.workloads.topology import TransitStubConfig, generate_topology
@@ -69,6 +70,23 @@ def _run(workload, scheme, backend, workers=None, wal_dir=None):
 def test_process_backend_is_bit_identical(workload, scheme):
     reference = _run(workload, scheme, "sim")
     assert _run(workload, scheme, "process", workers=2) == reference
+
+
+def test_byte_budget_cuts_a_process_backend_phase(workload):
+    # The coordinator checks the sends applied so far, so the cut can land a
+    # few events away from the simulator's; that it lands is what holds.
+    links, _ = workload
+    executor = build_executor(
+        reachability_plan(), "Absorption Eager", node_count=NODE_COUNT,
+        backend="process", workers=2,
+    )
+    executor.network.max_phase_bytes = 20_000
+    try:
+        with pytest.raises(SimulationBudgetExceeded, match="bytes in one phase"):
+            executor.insert_edges(links)
+        assert executor.network.stats.total_bytes > 20_000
+    finally:
+        executor.close()
 
 
 def test_worker_count_does_not_change_results(workload):

@@ -202,6 +202,34 @@ class TestInterning:
         rebuilt = links[0].schema.tuple(*links[0].values)
         assert rebuilt == links[0] and hash(rebuilt) == hash(links[0])
 
+    def test_closing_one_executor_leaves_another_live_one_exact(self):
+        """The table is per process: a close empties it under a live executor too."""
+        links = generate_topology(
+            TransitStubConfig(nodes_per_stub=2, stubs_per_transit=2, seed=5)
+        ).link_tuples()
+
+        def run(close_a_peer_midway):
+            executor = build_executor(
+                reachability_plan(), ExecutionStrategy.absorption_lazy(), node_count=4
+            )
+            phases = [executor.insert_edges(links)]
+            if close_a_peer_midway:
+                peer = build_executor(
+                    reachability_plan(), ExecutionStrategy.dred(), node_count=4
+                )
+                peer.insert_edges(links)
+                peer.close()
+                assert not any(_INTERNED.values())
+            phases.append(executor.delete_edges(links[::3]))
+            phases.append(executor.insert_edges(links[::3]))
+            view = executor.view_values()
+            executor.close()
+            return view, [
+                (p.communication_mb, p.state_mb, p.per_tuple_provenance_bytes) for p in phases
+            ]
+
+        assert run(close_a_peer_midway=True) == run(close_a_peer_midway=False)
+
 
 class TestUpdate:
     def test_insert_delete_helpers(self, link):

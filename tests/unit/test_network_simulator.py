@@ -360,6 +360,35 @@ class TestDeliveryCoalescing:
         with pytest.raises(SimulationBudgetExceeded):
             network.run()
 
+    def test_byte_budget_cuts_a_phase_at_a_fixed_event(self):
+        network = SimulatedNetwork(node_count=2)
+        network.max_phase_bytes = 1000
+        network.register(1, lambda port, updates, now: None)
+        for index in range(200):
+            network.send(0, 1, "view", [_update()], 10, at_time=float(index))
+        # 2 000 bytes are on the books before the first delivery; the budget
+        # is checked every 32 events, so the cut lands on event 32.
+        with pytest.raises(SimulationBudgetExceeded, match="1000 bytes in one phase"):
+            network.run()
+        assert network.events_processed == 32
+        # The budget is per phase: a fresh accumulator lets the run finish.
+        network.reset_stats()
+        network.run()
+        assert network.events_processed == 200
+
+    def test_byte_budget_enforced_inside_coalescing_drain(self):
+        from repro.data.batch import BatchPolicy
+
+        network = SimulatedNetwork(node_count=2, batch_policy=BatchPolicy(max_batch=10_000))
+        network.max_phase_bytes = 1000
+        delivered = []
+        network.register(1, lambda port, updates, now: delivered.append(len(updates)))
+        for _ in range(200):
+            network.send(0, 1, "view", [_update()], 10, at_time=0.0)
+        with pytest.raises(SimulationBudgetExceeded):
+            network.run()
+        assert not delivered and network.events_processed == 32
+
     def test_message_counts_by_port_counts_wire_messages(self):
         network = SimulatedNetwork(node_count=3)
         network.register(1, lambda port, updates, now: None)

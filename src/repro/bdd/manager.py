@@ -1524,26 +1524,29 @@ class BDDManager:
         other variables False), satisfies the function.  For monotone functions
         (absorption provenance) these are exactly the minimal support sets of
         derivations that survive absorption.
+
+        The walk keeps an explicit stack, low branch first: a recursive
+        nested generator would reference itself through its closure and
+        leave a reference cycle behind every call.
         """
         self._check(operand)
         table = self._table
+        names = self._name_by_index
         seen: Set[FrozenSet[Hashable]] = set()
-
-        def walk(node: int, acc: Tuple[Hashable, ...]) -> Iterator[FrozenSet[Hashable]]:
+        stack: List[Tuple[int, Tuple[Hashable, ...]]] = [(operand.node, ())]
+        while stack:
+            node, acc = stack.pop()
             if node == FALSE:
-                return
+                continue
             if node == TRUE:
                 product = frozenset(acc)
                 if product not in seen:
                     seen.add(product)
                     yield product
-                return
+                continue
             var, low, high = table.triple(node)
-            name = self._name_by_index[var]
-            yield from walk(low, acc)
-            yield from walk(high, acc + (name,))
-
-        yield from walk(operand.node, ())
+            stack.append((high, acc + (names[var],)))
+            stack.append((low, acc))
 
     # -- conversion -------------------------------------------------------------
     def from_products(self, products: Iterable[Iterable[Hashable]]) -> BDD:

@@ -155,19 +155,24 @@ def run_reference(
     Runs on the plain in-process simulator with the default latency model —
     the same topology every chaos run uses — so the recorded horizon ``T`` is
     the coordinate system the chaos plan's unit-interval schedules scale to.
+    The executor is closed before returning: the annotations are canonical
+    product sets, which outlive its BDD manager.
     """
     executor = build_executor(
         query_plan, strategy, node_count=node_count,
         max_events=max_events, max_wall_seconds=PHASE_WALL_SECONDS,
         experiment="chaos-reference", batch_policy=batch_policy,
     )
-    phases = apply_workload(executor, workload)
-    return (
-        executor.view(),
-        executor.view_annotations(),
-        executor.network.now,
-        phases,
-    )
+    try:
+        phases = apply_workload(executor, workload)
+        return (
+            executor.view(),
+            executor.view_annotations(),
+            executor.network.now,
+            phases,
+        )
+    finally:
+        executor.close()
 
 
 def _annotations_comparable(strategy) -> bool:
@@ -285,19 +290,22 @@ def verify_sim_parity(
         max_wall_seconds=PHASE_WALL_SECONDS,
         batch_policy=batch_policy,
     )
-    schedule_chaos(executor, chaos_plan, horizon)
-    apply_workload(executor, workload)
-    comparison = _compare(reference_view, reference_annotations, executor)
-    return ParityReport(
-        backend="sim",
-        scheme=executor.strategy.label,
-        profile=chaos_plan.name,
-        seed=chaos_plan.seed,
-        horizon=horizon,
-        phases=phases,
-        chaos=executor.chaos_stats(),
-        **comparison,
-    )
+    try:
+        schedule_chaos(executor, chaos_plan, horizon)
+        apply_workload(executor, workload)
+        comparison = _compare(reference_view, reference_annotations, executor)
+        return ParityReport(
+            backend="sim",
+            scheme=executor.strategy.label,
+            profile=chaos_plan.name,
+            seed=chaos_plan.seed,
+            horizon=horizon,
+            phases=phases,
+            chaos=executor.chaos_stats(),
+            **comparison,
+        )
+    finally:
+        executor.close()
 
 
 def verify_process_parity(

@@ -21,6 +21,7 @@ import pytest
 from repro.baselines.networkx_ref import reachable_pairs
 from repro.chaos import ChaosPlan
 from repro.chaos.executor import chaos_executor
+from repro.chaos.parity import run_reference
 from repro.data.batch import BatchPolicy
 from repro.data.tuples import _INTERNED
 from repro.engine.runtime import cyclic_gc_paused
@@ -34,6 +35,7 @@ from repro.placement import elastic_executor
 from repro.queries import build_executor, reachability_plan, region_plan
 from repro.queries.shortest_path import AGGSEL_MULTI, AGGSEL_SINGLE, shortest_path_plan
 from repro.workloads import TransitStubConfig, generate_topology
+from repro.workloads.chaos import generate_chaos_workload
 from repro.workloads.sensors import SensorField, SensorWorkload
 
 NODE_COUNT = 4
@@ -391,6 +393,20 @@ def test_a_closed_executor_of_every_kind_is_freed_by_reference_counting(no_cycle
     executor = weakref.ref(run[0])
     no_cycles("close and drop", lambda: run.pop().close())
     assert executor() is None
+
+
+def test_a_dropped_parity_reference_leaves_no_cycles(no_cycles):
+    # The reference run closes its executor; what it returns (view, canonical
+    # annotations, horizon) is plain data, so dropping it frees everything.
+    workload = generate_chaos_workload(links=24, seed=11)
+
+    def run_and_drop():
+        view, annotations, horizon, phases = run_reference(
+            reachability_plan(), "Absorption Eager", workload, node_count=NODE_COUNT
+        )
+        assert view and set(annotations) == view and horizon > 0 and phases > 0
+
+    no_cycles("reference run, result dropped", run_and_drop)
 
 
 def test_closing_twice_is_harmless(links):

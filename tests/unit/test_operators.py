@@ -254,6 +254,86 @@ class TestMinShip:
         assert ship.state_bytes() > 0
 
 
+class RecordingStore(AbsorptionProvenanceStore):
+    """An absorption store that records every disjoin it is asked for."""
+
+    def __init__(self):
+        super().__init__()
+        self.calls = []
+
+    def disjoin(self, left, right):
+        result = super().disjoin(left, right)
+        self.calls.append(("disjoin", left, right, result))
+        return result
+
+    def disjoin_many(self, annotations):
+        self.calls.append(("disjoin_many", tuple(annotations)))
+        return super().disjoin_many(annotations)
+
+
+class TestMinShipPinsFold:
+    """``Pins[t]`` is folded left to right in arrival order on first read."""
+
+    TUPLE = REACH.tuple("A", "B")
+
+    def _buffered(self, store, products):
+        """A lazy ship holding one buffered part per product, appended in order."""
+        ship = MinShipOperator("ms", store, mode=ShipMode.LAZY)
+        ship.process(insert(self.TUPLE, provenance=pv(store, "shipped")))
+        parts = [pv(store, *product) for product in products]
+        for part in parts:
+            assert ship.process(insert(self.TUPLE, provenance=part)) == []
+        return ship, parts
+
+    @staticmethod
+    def _assert_left_fold(calls, parts):
+        assert [call[0] for call in calls] == ["disjoin"] * (len(parts) - 1)
+        accumulator = parts[0]
+        for (_, left, right, result), part in zip(calls, parts[1:]):
+            assert left == accumulator and right == part
+            accumulator = result
+
+    @pytest.mark.parametrize("count", [1, 2, 5])
+    def test_first_read_folds_the_parts_in_append_order(self, count):
+        store = RecordingStore()
+        ship, parts = self._buffered(store, [(f"p{i}",) for i in range(count)])
+        store.calls.clear()
+        ship.pending_insertions[self.TUPLE]
+        self._assert_left_fold(store.calls, parts)
+
+    def test_a_second_read_makes_no_call(self):
+        store = RecordingStore()
+        ship, _ = self._buffered(store, [("p1",), ("p2",), ("p3",)])
+        first = ship.pending_insertions[self.TUPLE]
+        store.calls.clear()
+        assert ship.pending_insertions[self.TUPLE] == first
+        ship.state_bytes()
+        assert store.calls == []
+
+    def test_absorbed_tails_fold_in_the_same_order(self):
+        store = RecordingStore()
+        ship, parts = self._buffered(store, [("p1",), ("p2",)])
+        tails = [pv(store, "m1"), pv(store, "m2")]
+        for tail in tails:
+            ship.absorb_tables({}, {self.TUPLE: tail}, {})
+        store.calls.clear()
+        merged = ship.pending_insertions[self.TUPLE]
+        self._assert_left_fold(store.calls, parts + tails)
+
+        # After a read, a migrated tail folds onto the merged value.
+        late = pv(store, "m3")
+        ship.absorb_tables({}, {self.TUPLE: late}, {})
+        store.calls.clear()
+        ship.pending_insertions[self.TUPLE]
+        self._assert_left_fold(store.calls, [merged, late])
+
+    def test_folded_root_is_the_balanced_merges_node(self, store):
+        products = [("p1", "p2"), ("p3",), ("p1", "p4"), ("p5", "p6"), ("p2", "p7")]
+        ship, parts = self._buffered(store, products)
+        folded = ship.pending_insertions[self.TUPLE]
+        assert folded.node == store.manager.disjoin_many(parts).node
+
+
 class TestAggregateSelection:
     def _aggsel(self, store, multi=False):
         specs = [AggregateSpec(("src", "dst"), "cost", AggregateFunctionKind.MIN)]

@@ -78,6 +78,13 @@ def cyclic_gc_paused():
     command.  The state found is restored on exit, on an exception too: a
     caller that had disabled the collector keeps it disabled, and nested
     pauses compose.
+
+    Before re-enabling, the block's survivors are promoted to the oldest
+    generation by ``gc.freeze(); gc.unfreeze()``: list splices that also
+    reset the gen-0 count, so the first pass after the block does not walk
+    every container it allocated only to free nothing.  A
+    full collection still finds any cycle among them.  It is skipped while
+    a caller holds objects frozen, whose freeze the unfreeze would undo.
     """
     if not gc.isenabled():
         yield
@@ -86,6 +93,9 @@ def cyclic_gc_paused():
     try:
         yield
     finally:
+        if gc.get_freeze_count() == 0:
+            gc.freeze()
+            gc.unfreeze()
         gc.enable()
 
 

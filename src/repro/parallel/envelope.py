@@ -1,9 +1,11 @@
 """Wire protocol between the coordinator and its worker processes.
 
-Everything that crosses a queue is a plain tuple whose first element names the
-operation, so the protocol stays picklable and versionless:
+Everything that crosses a pipe is a plain tuple whose first element names the
+operation, so the protocol stays picklable and versionless.  Each worker has
+two private pipes, one per direction; nothing is shared between workers, so
+no cross-process lock or feeder thread sits on either path.
 
-Commands (coordinator → worker)::
+Commands (coordinator → worker, the worker's private command pipe)::
 
     ("deliver", delivery_id, node, port, updates, now, ordinal)  # run one handler
     ("flush",   rpc_id, now)                             # eager MinShip tick
@@ -14,9 +16,14 @@ Commands (coordinator → worker)::
     ("explain", rpc_id, view_tuple)                      # one tuple's canonical products
     ("census",  rpc_id)                                  # kernel GC census (traced runs)
     ("replay",  rpc_id, unacked_delivery_ids, unacked_rpc_ids, doom_after)  # WAL recovery
-    ("shutdown",)
 
-Results (worker → coordinator, one private pipe per worker)::
+The coordinator writes commands without ever blocking: what does not fit in
+the pipe waits in a per-worker buffer and is flushed from the same poll that
+reads results, so a worker blocked writing a large result can never wedge a
+coordinator blocked writing it a command.  There is no shutdown command: a
+worker exits when its command pipe reads EOF.
+
+Results (worker → coordinator, the worker's private result pipe)::
 
     ("result", delivery_id, wid, outbox, handler_seconds, prov_bytes, prov_count)
     ("rpc",    rpc_id, wid, payload)
@@ -28,19 +35,26 @@ prove it (see :mod:`repro.parallel.scheduler`, rule 3).
 
 ``outbox`` entries are ``(src, dst, port, wire_updates, size_bytes,
 sent_at)`` — every ``network.send`` the handler performed, in call order.
-A send to a node on another worker carries its annotations through the
-store codec
-(:meth:`~repro.provenance.tracker.ProvenanceStore.encode_annotation`), so
-they are manager-independent.  A send to a node on the *same* worker never
-leaves it: the updates stay in the worker's stash as live handles and the
-wire carries one :class:`StashRef` per update.  The coordinator replays the
-entries into its own event queue in exactly the order the single-process
-engine would have, which is what makes sequence-number assignment (and
-therefore the whole run) bit-identical.
+The coordinator never looks inside ``wire_updates``; it only counts them:
+
+* A send to a node on another worker encodes its annotations through the
+  store codec
+  (:meth:`~repro.provenance.tracker.ProvenanceStore.encode_annotation`), so
+  they are manager-independent, and pickles the encoded batch once into one
+  :class:`Payload`.  The wire carries ``len(updates)`` references to it, and
+  the coordinator forwards its bytes without rebuilding an update or tuple.
+* A send to a node on the *same* worker never leaves it: the updates stay in
+  the worker's stash as live handles and the wire carries one
+  :class:`StashRef` per update.
+
+The coordinator replays the entries into its own event queue in exactly the
+order the single-process engine would have, which is what makes
+sequence-number assignment (and therefore the whole run) bit-identical.
 """
 
 from __future__ import annotations
 
+import pickle
 from dataclasses import dataclass
 from typing import Any, List, Optional, Sequence, Tuple
 
@@ -127,3 +141,30 @@ class StashRef:
 
     def __reduce__(self):
         return StashRef, (self.token,)
+
+
+class Payload:
+    """Stands in, on the wire, for one update of a cross-worker send.
+
+    The sending worker pickles the send's encoded updates once into ``data``
+    (see ``WorkerNetwork.send``); like :class:`StashRef`, the message carries
+    ``len(updates)`` references to one ``Payload``, so update counts,
+    coalescing and processing costs see the real batch size.  The coordinator
+    only moves the bytes, and the delivering worker expands them with one
+    :meth:`updates`.
+    """
+
+    __slots__ = ("data",)
+
+    def __init__(self, data: bytes) -> None:
+        self.data = data
+
+    @classmethod
+    def pack(cls, updates: Sequence[Update]) -> "Payload":
+        return cls(pickle.dumps(tuple(updates), pickle.HIGHEST_PROTOCOL))
+
+    def updates(self) -> Tuple[Update, ...]:
+        return pickle.loads(self.data)
+
+    def __reduce__(self):
+        return Payload, (self.data,)

@@ -89,11 +89,12 @@ from __future__ import annotations
 import heapq
 import itertools
 import multiprocessing
-import multiprocessing.connection
 import os
 import pickle
 import queue as queue_module
+import selectors
 import signal
+import struct
 import time
 from collections import deque
 from typing import Callable, Dict, Iterable, List, Optional
@@ -108,7 +109,7 @@ from repro.net.simulator import (
 from repro.parallel.envelope import TRACE_PID_STRIDE, WorkerInit
 from repro.parallel.worker import worker_main
 
-#: How long one blocking wait on the result queue lasts before the coordinator
+#: How long one blocking wait on the result pipes lasts before the coordinator
 #: re-checks worker liveness and the wall-clock budget.
 _POLL_SECONDS = 0.25
 
@@ -118,6 +119,70 @@ def _chaos_debug(message: str) -> None:
         import sys
 
         print(f"[chaos-debug pid={os.getpid()}] {message}", file=sys.stderr, flush=True)
+
+
+class _CommandPipe:
+    """The coordinator's write end of one worker's private command pipe.
+
+    :meth:`put` never blocks.  A worker blocked writing a result larger than
+    the pipe buffer reads no command until the coordinator reads that
+    result, so a blocking command write would wedge both processes.  The
+    end is non-blocking instead: what does not fit waits in :attr:`backlog`,
+    and the coordinator's result poll flushes it once the pipe is writable.
+    Frames are ``multiprocessing.connection.Connection``'s, so the worker
+    reads them with ``Connection.recv``.  A write to a dead worker (EPIPE)
+    is dropped; the liveness check and WAL recovery handle the death.
+    """
+
+    __slots__ = ("conn", "backlog", "watched")
+
+    def __init__(self, conn) -> None:
+        self.conn = conn
+        os.set_blocking(conn.fileno(), False)
+        #: Framed bytes the pipe had no room for yet, in command order.
+        self.backlog = bytearray()
+        #: Whether the coordinator's selector waits for this pipe to drain.
+        self.watched = False
+
+    def fileno(self) -> int:
+        return self.conn.fileno()
+
+    def put(self, command) -> None:
+        data = pickle.dumps(command, pickle.HIGHEST_PROTOCOL)
+        size = len(data)
+        if size > 0x7FFFFFFF:
+            header = struct.pack("!iQ", -1, size)
+        else:
+            header = struct.pack("!i", size)
+        if self.backlog:
+            self.backlog += header
+            self.backlog += data
+            return
+        frame = header + data
+        written = self._write(frame)
+        if written < len(frame):
+            self.backlog += memoryview(frame)[written:]
+
+    def flush(self) -> None:
+        """Write as much of the backlog as the pipe takes now."""
+        if self.backlog:
+            del self.backlog[: self._write(self.backlog)]
+
+    def _write(self, data) -> int:
+        try:
+            return os.write(self.conn.fileno(), data)
+        except BlockingIOError:
+            return 0
+        except OSError:  # EPIPE: the worker is gone, and so is its backlog
+            self.backlog.clear()
+            return len(data)
+
+    def close(self) -> None:
+        self.backlog.clear()
+        try:
+            self.conn.close()
+        except OSError:  # pragma: no cover - already closed
+            pass
 
 
 class _WorkerDied(Exception):
@@ -145,18 +210,21 @@ class ProcessCoordinator(SimulatedNetwork):
         self._wal_dir = wal_dir
         self._join_seconds = join_seconds
         self._ctx = multiprocessing.get_context("spawn")
-        #: Per-worker result pipes (read ends), parallel to the command
-        #: queues.  Results deliberately do NOT share one queue: a shared
-        #: ``mp.Queue`` serialises every writer through one cross-process
-        #: lock, and a chaos SIGKILL landing between a worker's last pipe
-        #: write and its lock release (a wide window on a loaded box) would
-        #: leave the lock held forever, wedging every surviving worker's
-        #: next ``put``.  A private pipe per worker means a kill can only
-        #: tear the victim's own channel, which recovery discards anyway.
+        #: Per-worker result pipes (read ends) and command pipes (write
+        #: ends), both private to one worker.  Neither direction shares an
+        #: ``mp.Queue``: a shared queue serialises every writer through one
+        #: cross-process lock and a feeder thread, and a chaos SIGKILL
+        #: landing between a writer's last pipe write and its lock release
+        #: (a wide window on a loaded box) would leave the lock held
+        #: forever, wedging every other writer.  With private pipes a kill
+        #: can only tear the victim's own channels, which recovery replaces.
         self._result_readers: List = []
         self._recv_backlog: deque = deque()
-        self._command_queues: List = []
+        self._command_pipes: List[_CommandPipe] = []
         self._processes: List = []
+        #: One selector over the result pipes and the command pipes with a
+        #: backlog, kept across polls and rebuilt when a worker is spawned.
+        self._selector = selectors.DefaultSelector()
         self._delivery_ids = itertools.count(1)
         self._rpc_ids = itertools.count(1)
         #: Dispatched-but-unapplied deliveries: delivery_id -> (wid, command),
@@ -209,32 +277,57 @@ class ProcessCoordinator(SimulatedNetwork):
         )
 
     def _spawn(self, wid: int) -> None:
-        command_queue = self._ctx.Queue()
+        command_reader, command_writer = self._ctx.Pipe(duplex=False)
         reader, writer = self._ctx.Pipe(duplex=False)
         process = self._ctx.Process(
             target=worker_main,
-            args=(self._worker_init_for(wid), command_queue, writer),
+            args=(self._worker_init_for(wid), command_reader, writer),
             name=f"repro-worker-{wid}",
             daemon=True,
         )
         process.start()
-        # Drop our copy of the write end: the child now holds the only one,
-        # so a dead worker's pipe reads EOF instead of blocking forever.
+        # Drop our copies of the child's ends: it now holds the only ones,
+        # so a dead worker's result pipe reads EOF instead of blocking
+        # forever, and a closed command pipe reads EOF in the worker.
         writer.close()
-        if wid < len(self._command_queues):
+        command_reader.close()
+        command_pipe = _CommandPipe(command_writer)
+        if wid < len(self._command_pipes):
+            self._command_pipes[wid].close()
             old_reader = self._result_readers[wid]
             if old_reader is not None:
                 try:
                     old_reader.close()
                 except OSError:  # pragma: no cover - already closed
                     pass
-            self._command_queues[wid] = command_queue
+            self._command_pipes[wid] = command_pipe
             self._result_readers[wid] = reader
             self._processes[wid] = process
         else:
-            self._command_queues.append(command_queue)
+            self._command_pipes.append(command_pipe)
             self._result_readers.append(reader)
             self._processes.append(process)
+        self._rebuild_selector()
+
+    def _rebuild_selector(self) -> None:
+        self._selector.close()
+        selector = selectors.DefaultSelector()
+        for reader in self._result_readers:
+            if reader is not None:
+                selector.register(reader, selectors.EVENT_READ)
+        for pipe in self._command_pipes:
+            pipe.watched = bool(pipe.backlog)
+            if pipe.watched:
+                selector.register(pipe, selectors.EVENT_WRITE)
+        self._selector = selector
+
+    def _send(self, wid: int, command) -> None:
+        """Write ``command`` to worker ``wid`` without blocking (see :class:`_CommandPipe`)."""
+        pipe = self._command_pipes[wid]
+        pipe.put(command)
+        if pipe.backlog and not pipe.watched:
+            pipe.watched = True
+            self._selector.register(pipe, selectors.EVENT_WRITE)
 
     def worker_for(self, node: int) -> int:
         return node % self.workers
@@ -280,7 +373,7 @@ class ProcessCoordinator(SimulatedNetwork):
         """Deliver every scheduled SIGKILL whose virtual time has arrived.
 
         A kill only fires while its victim has no dispatched-but-unapplied
-        delivery.  The victim is then blocked reading its command queue,
+        delivery.  The victim is then blocked reading its command pipe,
         between two commands: its WAL holds exactly the commands whose
         results were applied, and its private result pipe holds no
         half-written reply.  A kill due while the victim is busy stays
@@ -412,7 +505,7 @@ class ProcessCoordinator(SimulatedNetwork):
             )
             self._deliveries[delivery_id] = (wid, command)
             heapq.heappush(pending, (arrival, seq, completion, delivery_id, dst))
-            self._command_queues[wid].put(command)
+            self._send(wid, command)
 
     def _drain(self, message: Message, start: float, stop, horizon) -> Optional[list]:
         """Pop the queue entries ``message``'s delivery coalesces with.
@@ -507,30 +600,35 @@ class ProcessCoordinator(SimulatedNetwork):
     def _queue_get(self, timeout: float):
         """One item from any worker's result pipe; ``Empty`` on timeout.
 
-        Drains one item per ready pipe into a backlog so no worker starves.
-        A pipe that reads EOF (dead worker, fully drained) or a torn pickle
-        (killed mid-``send``) is closed and dropped here; the caller's
-        liveness checks notice the death itself and trigger recovery, which
-        installs the respawned incarnation's fresh pipe.
+        Drains one item per ready pipe into a backlog so no worker starves,
+        and in the same poll flushes every command pipe whose backlog the
+        pipe now has room for.  A result pipe that reads EOF (dead worker,
+        fully drained) or a torn pickle (killed mid-``send``) is closed and
+        dropped here; the caller's liveness checks notice the death itself
+        and trigger recovery, which installs the respawned incarnation's
+        fresh pipes.
         """
         if self._recv_backlog:
             return self._recv_backlog.popleft()
-        readers = [
-            reader
-            for reader in self._result_readers
-            if reader is not None and not reader.closed
-        ]
-        ready = multiprocessing.connection.wait(readers, timeout) if readers else ()
-        for reader in ready:
+        selector = self._selector
+        ready = selector.select(timeout) if selector.get_map() else ()
+        for key, _ in ready:
+            channel = key.fileobj
+            if type(channel) is _CommandPipe:
+                channel.flush()
+                if not channel.backlog:
+                    channel.watched = False
+                    selector.unregister(channel)
+                continue
             try:
-                self._recv_backlog.append(reader.recv())
+                self._recv_backlog.append(channel.recv())
             except (EOFError, OSError, pickle.UnpicklingError):
-                wid = self._result_readers.index(reader)
+                selector.unregister(channel)
                 try:
-                    reader.close()
+                    channel.close()
                 except OSError:  # pragma: no cover - already closed
                     pass
-                self._result_readers[wid] = None
+                self._result_readers[self._result_readers.index(channel)] = None
         if not self._recv_backlog:
             raise queue_module.Empty
         return self._recv_backlog.popleft()
@@ -660,7 +758,7 @@ class ProcessCoordinator(SimulatedNetwork):
         self.worker_respawns += 1
         for delivery_id, command in unacked:
             if delivery_id not in recovered:
-                self._command_queues[wid].put(command)
+                self._send(wid, command)
                 _chaos_debug(f"re-put delivery {delivery_id} -> wid={wid}")
         if (
             pending_rpc is not None
@@ -670,7 +768,7 @@ class ProcessCoordinator(SimulatedNetwork):
             # The command never reached the WAL (a read, or a flush/clear
             # that died pre-log); RPCs are quiescent-point idempotent, so
             # re-issue it verbatim.
-            self._command_queues[wid].put(pending_rpc[1])
+            self._send(wid, pending_rpc[1])
 
     def _supervised_respawn(self, wid: int, unacked, unacked_rpcs):
         """Respawn ``wid`` and run its WAL replay, retrying under a budget.
@@ -698,7 +796,8 @@ class ProcessCoordinator(SimulatedNetwork):
             # at a deterministic point between sends.  A coordinator-side
             # SIGKILL here would race the worker's replay progress and could
             # tear the result pipe mid-``send``.
-            self._command_queues[wid].put(
+            self._send(
+                wid,
                 (
                     "replay",
                     replay_id,
@@ -766,7 +865,7 @@ class ProcessCoordinator(SimulatedNetwork):
         for wid in workers:
             rpc_id = next(self._rpc_ids)
             command = (op, rpc_id) + payload
-            self._command_queues[wid].put(command)
+            self._send(wid, command)
             requests.append((wid, rpc_id, command))
         replies = []
         for wid, rpc_id, command in requests:
@@ -841,10 +940,7 @@ class ProcessCoordinator(SimulatedNetwork):
                 if not process.is_alive():
                     continue
                 rpc_id = next(self._rpc_ids)
-                try:
-                    self._command_queues[wid].put(("trace", rpc_id))
-                except (ValueError, OSError):
-                    continue
+                self._send(wid, ("trace", rpc_id))
                 pending[rpc_id] = wid
         except Exception:
             return 0
@@ -873,18 +969,14 @@ class ProcessCoordinator(SimulatedNetwork):
         if self._closed:
             return
         self._closed = True
-        for command_queue in self._command_queues:
-            try:
-                command_queue.put(("shutdown",))
-            except (ValueError, OSError):
-                pass
+        # Each worker reads EOF after its last command and exits.
+        for pipe in self._command_pipes:
+            pipe.close()
         for process in self._processes:
             process.join(timeout=self._join_seconds)
             if process.is_alive():
                 process.terminate()
-        for command_queue in self._command_queues:
-            command_queue.close()
-            command_queue.cancel_join_thread()
+        self._selector.close()
         for reader in self._result_readers:
             if reader is None:
                 continue

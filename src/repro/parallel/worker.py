@@ -16,7 +16,9 @@ queue, which is the single source of ``(time, seq)`` ordering truth.
 
 A send between two nodes of the same worker keeps its payload here: the
 updates wait in the worker's stash as live handles, and only placeholders
-travel through the coordinator (see :class:`WorkerNetwork`).
+travel through the coordinator.  A send to another worker travels as one
+pickled payload that the coordinator forwards unopened (see
+:class:`WorkerNetwork`).
 """
 
 from __future__ import annotations
@@ -35,7 +37,13 @@ from repro.net.simulator import pack_rank
 from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.obs.trace import Tracer, install_tracer
 from repro.operators.ship import MinShipOperator, ShipMode
-from repro.parallel.envelope import StashRef, WorkerInit, decode_updates, encode_updates
+from repro.parallel.envelope import (
+    Payload,
+    StashRef,
+    WorkerInit,
+    decode_updates,
+    encode_updates,
+)
 
 
 class _WorkerStats:
@@ -73,7 +81,9 @@ class WorkerNetwork:
     ``SimulatedNetwork.send``.
 
     A send to a node on another worker encodes its annotations through the
-    store codec.  A send to a node on *this* worker keeps its updates, live,
+    store codec and pickles the encoded batch once, into one
+    :class:`~repro.parallel.envelope.Payload` that the wire carries
+    ``len(updates)`` times.  A send to a node on *this* worker keeps its updates, live,
     in :attr:`stash` under the next value of a per-incarnation send counter
     and ships ``len(updates)`` :class:`~repro.parallel.envelope.StashRef`
     placeholders instead; :meth:`unstash` swaps them back at delivery.  The
@@ -144,24 +154,32 @@ class WorkerNetwork:
             self.stash[token] = tuple(updates)
             wire = (StashRef(token),) * len(updates)
         else:
-            wire = encode_updates(self._store, updates)
+            wire = (Payload.pack(encode_updates(self._store, updates)),) * len(updates)
         self.outbox.append((src, dst, port, wire, size_bytes, at_time))
 
     def unstash(self, updates: Sequence) -> List:
-        """A delivered batch with every stashed send's updates back in place.
+        """A delivered batch with every send's placeholders expanded in place.
 
         Coalescing concatenates whole messages, so each send's placeholders
-        arrive as one contiguous run.
+        arrive as one contiguous run of references to one object (pickling
+        keeps that identity), which expands once: a :class:`StashRef` run
+        into its stashed updates, a :class:`Payload` run into its unpickled
+        ones.
         """
         restored: List = []
-        token = None
+        run = None
         for update in updates:
-            if type(update) is StashRef:
-                if update.token != token:
-                    token = update.token
-                    restored.extend(self.stash.pop(token))
+            if update is run:
+                continue
+            kind = type(update)
+            if kind is StashRef:
+                run = update
+                restored.extend(self.stash.pop(update.token))
+            elif kind is Payload:
+                run = update
+                restored.extend(update.updates())
             else:
-                token = None
+                run = None
                 restored.append(update)
         return restored
 
@@ -178,7 +196,9 @@ class _ResultChannel:
     ``mp.Queue``: queue writers share one cross-process lock and a feeder
     thread, so a chaos SIGKILL could freeze the lock mid-release and wedge
     every other worker.  ``Connection.send`` runs synchronously on this
-    worker's own pipe — nothing shared, nothing to poison.
+    worker's own pipe — nothing shared, nothing to poison.  It may block on
+    a full pipe; the coordinator never blocks on its writes to this worker,
+    so it always comes back to read.
     """
 
     __slots__ = ("conn",)
@@ -453,8 +473,8 @@ class Worker:
         os.kill(os.getpid(), signal.SIGKILL)
 
     # -- dispatch ----------------------------------------------------------------
-    def dispatch(self, command) -> bool:
-        """Execute one command; returns False when the worker should exit."""
+    def dispatch(self, command) -> None:
+        """Execute one command."""
         op = command[0]
         if op == "deliver":
             self.deliver(command)
@@ -484,15 +504,18 @@ class Worker:
             self.explain(command[1], command[2])
         elif op == "replay":
             self.replay(command[1], command[2], command[3], command[4])
-        elif op == "shutdown":
-            return False
         else:
             raise RuntimeError(f"unknown worker command {op!r}")
-        return True
 
 
-def worker_main(init: WorkerInit, command_queue, result_conn) -> None:
-    """Entry point of a spawned worker process (must stay module-level picklable)."""
+def worker_main(init: WorkerInit, command_conn, result_conn) -> None:
+    """Entry point of a spawned worker process (must stay module-level picklable).
+
+    Commands arrive on ``command_conn``, the read end of this worker's
+    private command pipe.  The coordinator has no shutdown command: the
+    worker exits when that pipe reads EOF or a frame torn by the
+    coordinator's exit, so no worker outlives its coordinator.
+    """
     result_queue = _ResultChannel(result_conn)
     try:
         worker = Worker(init, result_queue)
@@ -508,12 +531,13 @@ def worker_main(init: WorkerInit, command_queue, result_conn) -> None:
             flush=True,
         )
     while True:
-        command = command_queue.get()
+        try:
+            command = command_conn.recv()
+        except (EOFError, OSError):
+            break
         try:
             with cyclic_gc_paused():
-                running = worker.dispatch(command)
-            if not running:
-                break
+                worker.dispatch(command)
         except BaseException:
             ref_id = command[1] if len(command) > 1 else None
             result_queue.put(("error", ref_id, init.wid, traceback.format_exc()))

@@ -225,6 +225,42 @@ def test_pause_restores_the_collector_when_the_block_raises(collector_state):
     assert gc.isenabled()
 
 
+class _Cyclic:
+    """A container that can be weakly referenced and put in a cycle."""
+
+
+def test_pause_promotes_the_blocks_survivors_without_losing_cycles(collector_state):
+    gc.enable()
+    threshold = gc.get_threshold()[0]
+    with cyclic_gc_paused():
+        survivors = [[] for _ in range(100_000)]
+        assert gc.get_count()[0] > threshold
+        cycle = _Cyclic()
+        cycle.self = cycle
+        probe = weakref.ref(cycle)
+        del cycle
+    # The first pass after the block no longer walks its 100 k containers.
+    assert gc.get_count()[0] < threshold
+    assert len(survivors) == 100_000
+    assert probe() is not None
+    gc.collect()
+    assert probe() is None
+
+
+def test_pause_leaves_a_callers_freeze_alone(collector_state):
+    gc.enable()
+    gc.freeze()
+    try:
+        frozen = gc.get_freeze_count()
+        assert frozen > 0
+        with cyclic_gc_paused():
+            survivors = [[] for _ in range(1_000)]
+        assert gc.get_freeze_count() == frozen
+        assert len(survivors) == 1_000
+    finally:
+        gc.unfreeze()
+
+
 def test_phases_run_paused_and_restore_the_callers_state(collector_state, links, monkeypatch):
     executor = build_executor(reachability_plan(), "Absorption Lazy", node_count=NODE_COUNT)
     seen = []
@@ -254,15 +290,18 @@ def test_phases_run_paused_and_restore_the_callers_state(collector_state, links,
     assert gc.isenabled()
 
 
-class _RecordingQueue:
-    """A worker command queue that notes the collector's state at each ``get``."""
+class _RecordingPipe:
+    """A worker command pipe that notes the collector's state at each
+    ``recv`` and reads EOF after its last command."""
 
     def __init__(self, commands):
         self.commands = list(commands)
         self.states = []
 
-    def get(self):
+    def recv(self):
         self.states.append(gc.isenabled())
+        if not self.commands:
+            raise EOFError
         return self.commands.pop(0)
 
 
@@ -285,19 +324,19 @@ def _worker_init():
 
 
 def test_worker_commands_run_paused_between_enabled_gets(collector_state):
-    commands = _RecordingQueue([("views", 1), ("no-such-op", 2), ("view_size", 3), ("shutdown",)])
+    commands = _RecordingPipe([("views", 1), ("no-such-op", 2), ("view_size", 3)])
     conn = _RecordingConn()
     gc.enable()
     worker_main(_worker_init(), commands, conn)
     # Each command ran paused; the failing one's error reply is sent after
-    # the pause restored the collector, and every ``get`` sees it enabled.
+    # the pause restored the collector, and every ``recv`` sees it enabled.
     assert conn.replies == [("rpc", False), ("error", True), ("rpc", False)]
     assert all(commands.states)
     assert gc.isenabled()
 
 
 def test_worker_keeps_a_disabled_collector_disabled(collector_state):
-    commands = _RecordingQueue([("views", 1), ("shutdown",)])
+    commands = _RecordingPipe([("views", 1)])
     conn = _RecordingConn()
     gc.disable()
     worker_main(_worker_init(), commands, conn)

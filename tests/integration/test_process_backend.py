@@ -11,14 +11,16 @@ to the final state.
 """
 
 import os
+import pickle
 import signal
+import threading
 import time
 
 import pytest
 
 from repro.net.simulator import SimulationBudgetExceeded
 from repro.obs.trace import Tracer, install_tracer
-from repro.queries import build_executor, reachability_plan
+from repro.queries import build_executor, link, reachability_plan, reachable
 from repro.workloads.topology import TransitStubConfig, generate_topology
 from repro.workloads.updates import deletion_sample
 
@@ -345,3 +347,73 @@ def test_process_byte_telemetry_is_pinned_at_six_nodes_per_worker():
 
 def test_view_size_counts_the_view_on_the_sim_backend():
     assert _lazy_churn_phases("sim") == PINNED_LAZY_PHASES
+
+
+# -- the command and result pipes ---------------------------------------------------
+
+
+def test_pipe_sized_command_and_result_complete_without_a_wedge():
+    """Deliveries whose commands and results each exceed the pipe buffer.
+
+    Each worker hosts two nodes, so the coordinator dispatches a worker its
+    second delivery while it runs the first.  The worker then blocks writing
+    its first result until the coordinator reads it, so a coordinator that
+    blocked writing the second command would wedge both processes; the run
+    must instead finish well inside the bound.
+    """
+    pad = "x" * 14000
+    links = [link(f"a{i}{pad}", f"b{i}{pad}") for i in range(160)]
+    executor = build_executor(
+        reachability_plan(), "Absorption Lazy", node_count=4, backend="process", workers=2
+    )
+    coordinator = executor._coordinator
+    command_bytes, result_bytes = {}, {}
+    send, get = coordinator._send, coordinator._queue_get
+
+    def recording_send(wid, command):
+        if command[0] == "deliver":
+            command_bytes[command[1]] = len(pickle.dumps(command, pickle.HIGHEST_PROTOCOL))
+        send(wid, command)
+
+    def recording_get(timeout):
+        item = get(timeout)
+        if item[0] == "result":
+            result_bytes[item[1]] = len(pickle.dumps(item, pickle.HIGHEST_PROTOCOL))
+        return item
+
+    coordinator._send = recording_send
+    coordinator._queue_get = recording_get
+    outcome = []
+    runner = threading.Thread(
+        target=lambda: outcome.append(executor.insert_edges(links)), daemon=True
+    )
+    try:
+        runner.start()
+        runner.join(10.0)
+        assert not runner.is_alive(), "the coordinator and a worker wedged on a full pipe"
+        assert outcome, "the phase failed"
+        assert executor.view() == {
+            reachable(f"a{i}{pad}", f"b{i}{pad}") for i in range(len(links))
+        }
+    finally:
+        executor.close()
+    mib = 1 << 20
+    assert any(
+        size >= mib and result_bytes.get(delivery_id, 0) >= mib
+        for delivery_id, size in command_bytes.items()
+    )
+
+
+def test_worker_exits_when_its_command_pipe_closes():
+    executor = build_executor(
+        reachability_plan(), "Absorption Lazy", node_count=2, backend="process", workers=2
+    )
+    try:
+        coordinator = executor._coordinator
+        coordinator._command_pipes[0].close()
+        process = coordinator._processes[0]
+        process.join(10.0)
+        assert process.exitcode == 0
+        assert coordinator._processes[1].is_alive()
+    finally:
+        executor.close()

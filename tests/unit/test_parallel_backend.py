@@ -8,6 +8,7 @@ spawning workers.  The end-to-end equivalence lives in
 ``tests/property/test_parallel_equivalence.py``.
 """
 
+import io
 import pickle
 
 import pytest
@@ -22,7 +23,7 @@ from repro.net.simulator import SimulatedNetwork, SimulationError, pack_rank
 from repro.net.transport import Transport
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import CONTROL_PID, KERNEL_PID, Tracer
-from repro.parallel.envelope import StashRef, WorkerInit
+from repro.parallel.envelope import Payload, StashRef, WorkerInit, decode_updates
 from repro.parallel.scheduler import ProcessCoordinator
 from repro.parallel.worker import WorkerNetwork
 from repro.provenance import canonical_annotation
@@ -208,15 +209,57 @@ def test_same_worker_sends_stay_in_the_stash():
     network.send(0, 1, "view", first, 10, at_time=0.0)  # node 1 is not
     network.send(2, 2, "view", second, 10, at_time=0.0)
     local, remote, self_send = network.take_outbox()
-    assert isinstance(remote[3][0].provenance, SerializedBDD)
+    # The cross-worker send is one payload, referenced once per update.
+    payload = remote[3][0]
+    assert remote[3] == (payload, payload)
+    encoded = payload.updates()
+    assert all(isinstance(update.provenance, SerializedBDD) for update in encoded)
     # Placeholders, one per update, cross the pipes and get coalesced.
-    encoded = remote[3][0]
-    wire = pickle.loads(pickle.dumps(local[3] + self_send[3] + (encoded,)))
-    assert [type(ref) for ref in wire] == [StashRef, StashRef, StashRef, type(encoded)]
+    wire = pickle.loads(pickle.dumps(local[3] + self_send[3] + remote[3]))
+    assert [type(ref) for ref in wire] == [StashRef] * 3 + [Payload] * 2
     restored = network.unstash(wire)
-    assert restored == first + second + [encoded]
+    assert restored == first + second + list(encoded)
     assert all(update.provenance is annotation for update in restored[:3])
     assert not network.stash
+
+
+class _ClassRecordingUnpickler(pickle.Unpickler):
+    """Unpickles like ``Connection.recv`` and notes every class it loads."""
+
+    def __init__(self, data: bytes) -> None:
+        super().__init__(io.BytesIO(data))
+        self.loaded = set()
+
+    def find_class(self, module, name):
+        found = super().find_class(module, name)
+        self.loaded.add(found)
+        return found
+
+
+def test_cross_worker_sends_cross_the_coordinator_as_payloads():
+    sender_store = AbsorptionProvenanceStore()
+    sender = WorkerNetwork(node_count=4, store=sender_store, wid=0, workers=2)
+    annotation = sender_store.base_annotation("x") & sender_store.base_annotation("y")
+    sent = [insert(link("a", "b"), annotation), insert(link("b", "c"), None)]
+    sender.send(0, 1, "view", sent, 10, at_time=0.0)
+    result = ("result", 1, 0, sender.take_outbox(), 0.0, 0, 0)
+    # What the coordinator unpickles: payload references, no update or tuple.
+    unpickler = _ClassRecordingUnpickler(pickle.dumps(result))
+    on_coordinator = unpickler.load()
+    assert unpickler.loaded == {Payload}
+    (_, dst, _, wire, _, _), = on_coordinator[3]
+    assert dst == 1 and len(wire) == len(sent)
+    # It forwards them inside a command; the receiving worker restores them.
+    command = pickle.loads(pickle.dumps(("deliver", 1, dst, "view", wire, 0.0, None)))
+    receiver_store = AbsorptionProvenanceStore()
+    receiver = WorkerNetwork(node_count=4, store=receiver_store, wid=1, workers=2)
+    restored = decode_updates(receiver_store, receiver.unstash(command[4]))
+    assert [update.tuple for update in restored] == [update.tuple for update in sent]
+    assert [update.type for update in restored] == [update.type for update in sent]
+    assert restored[1].provenance is None
+    assert canonical_annotation(receiver_store, restored[0].provenance) == canonical_annotation(
+        sender_store, annotation
+    )
 
 
 # -- coordinator scheduling, white-box with fake workers ------------------------------
@@ -234,8 +277,10 @@ class _FakeProcess:
         self.alive = False
 
 
-class _FakeCommandQueue:
-    """Records the commands a worker would have received."""
+class _FakeCommandPipe:
+    """Records the commands a worker would have received; never backs up."""
+
+    backlog = b""
 
     def __init__(self) -> None:
         self.commands = []
@@ -244,9 +289,6 @@ class _FakeCommandQueue:
         self.commands.append(command)
 
     def close(self) -> None:
-        pass
-
-    def cancel_join_thread(self) -> None:
         pass
 
 
@@ -261,7 +303,7 @@ def coordinator(monkeypatch):
     results in by hand.  Node ``n`` lives on worker ``n % 2``."""
 
     def spawn(self, wid):
-        self._command_queues.append(_FakeCommandQueue())
+        self._command_pipes.append(_FakeCommandPipe())
         self._result_readers.append(None)  # every poll comes back empty at once
         self._processes.append(_FakeProcess())
 
@@ -287,7 +329,7 @@ def _updates(count=1):
 
 
 def _commands(coordinator, wid):
-    return [c for c in coordinator._command_queues[wid].commands if c[0] == "deliver"]
+    return [c for c in coordinator._command_pipes[wid].commands if c[0] == "deliver"]
 
 
 def _result(command, outbox=(), handler_seconds=0.0):
